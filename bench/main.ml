@@ -263,9 +263,9 @@ let run_engine () =
       Funcytuner.Tuner.make_session ~pool_size:300 ~jobs ~platform ~program
         ~input ~seed:42 ()
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ft_util.Clock.now () in
     let c = Lazy.force session.Funcytuner.Tuner.collection in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Ft_util.Clock.now () -. t0 in
     (session, c, elapsed)
   in
   let parallel_jobs = max 4 !jobs in
@@ -288,9 +288,9 @@ let run_engine () =
     Ft_engine.Telemetry.snapshot
       (Funcytuner.Context.telemetry par_session.Funcytuner.Tuner.ctx)
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Clock.now () in
   let r2 = Funcytuner.Tuner.run_cfr ~top_x:10 par_session in
-  let warm_s = Unix.gettimeofday () -. t0 in
+  let warm_s = Ft_util.Clock.now () -. t0 in
   let after =
     Ft_engine.Telemetry.snapshot
       (Funcytuner.Context.telemetry par_session.Funcytuner.Tuner.ctx)
@@ -439,13 +439,13 @@ let run_json_bench () =
       Ft_engine.Engine.create ~backend:Ft_engine.Backend.Sharded
         ~nodes:shard_nodes ~policy:(policy ()) ()
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Ft_util.Clock.now () in
     let session =
       Funcytuner.Tuner.make_session ~pool_size:150 ~engine ~platform ~program
         ~input ~seed:42 ()
     in
     let result = Funcytuner.Tuner.run_cfr session in
-    (result, Unix.gettimeofday () -. t0)
+    (result, Ft_util.Clock.now () -. t0)
   in
   note "shard (swim/bdw cfr, K=150, %d nodes): %.3f s wall, %d evaluations \
         (%.0f/s)"
@@ -455,13 +455,13 @@ let run_json_bench () =
   let engine =
     Ft_engine.Engine.create ~jobs:!jobs ~backend:!backend ~policy:(policy ()) ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Clock.now () in
   let session =
     Funcytuner.Tuner.make_session ~pool_size:300 ~engine ~platform ~program
       ~input ~seed:42 ()
   in
   let result = Funcytuner.Tuner.run_cfr session in
-  let tune_wall = Unix.gettimeofday () -. t0 in
+  let tune_wall = Ft_util.Clock.now () -. t0 in
   let snap = Ft_engine.Telemetry.snapshot (Ft_engine.Engine.telemetry engine) in
   let lookups =
     snap.Ft_engine.Telemetry.cache_hits + snap.Ft_engine.Telemetry.cache_misses

@@ -34,9 +34,9 @@ let perturb ~(target : Target.t) ~program_name ~fingerprint (u : Cunit.t) =
   let f = u.Cunit.loop.Loop.features in
   let rng =
     Rng.create
-      (Rng.hash_string
-         (Printf.sprintf "lto:%s:%s:%d" program_name u.Cunit.region_name
-            fingerprint))
+      (Rng.hash_strings
+         [ "lto:"; program_name; ":"; u.Cunit.region_name; ":";
+           string_of_int fingerprint ])
   in
   let x = Rng.float rng 1.0 in
   if x < 0.30 then d
@@ -76,21 +76,33 @@ let perturb ~(target : Target.t) ~program_name ~fingerprint (u : Cunit.t) =
     (* Cross-module register allocation degrades the schedule. *)
     { d with Decision.sched_quality = d.Decision.sched_quality *. 0.85 }
 
-let link ~target ~(program : Program.t) ?(instrumented = false) units =
-  let expected =
-    program.Program.nonloop.Loop.name
-    :: List.map (fun (l : Loop.t) -> l.Loop.name) program.Program.loops
+(* Units must arrive in program order (non-loop module first), as
+   {!Cunit.compile_program} produces them: one walk checks both the set
+   and the order the assignment fingerprint depends on. *)
+let covers_regions (program : Program.t) units =
+  let rec in_order loops units =
+    match (loops, units) with
+    | [], [] -> true
+    | (l : Loop.t) :: loops, (u : Cunit.t) :: units ->
+        String.equal l.Loop.name u.Cunit.region_name && in_order loops units
+    | _ -> false
   in
-  let got = List.map (fun (u : Cunit.t) -> u.Cunit.region_name) units in
-  if List.sort compare expected <> List.sort compare got then
+  in_order (program.Program.nonloop :: program.Program.loops) units
+
+let link ~target ~(program : Program.t) ?(instrumented = false) units =
+  if not (covers_regions program units) then
     invalid_arg "Linker.link: units do not match the program's regions";
   let find name =
     List.find (fun (u : Cunit.t) -> u.Cunit.region_name = name) units
   in
-  let distinct_cvs =
-    List.sort_uniq Cv.compare (List.map (fun (u : Cunit.t) -> u.Cunit.cv) units)
+  let uniform =
+    match units with
+    | [] -> true
+    | (first : Cunit.t) :: rest ->
+        List.for_all
+          (fun (u : Cunit.t) -> Cv.equal u.Cunit.cv first.Cunit.cv)
+          rest
   in
-  let uniform = List.length distinct_cvs <= 1 in
   let any_ipo = List.exists (fun (u : Cunit.t) -> Cv.ipo u.Cunit.cv) units in
   let fingerprint = assignment_fingerprint units in
   let finalize (u : Cunit.t) =
@@ -118,8 +130,8 @@ let link ~target ~(program : Program.t) ?(instrumented = false) units =
     else
       let rng =
         Rng.create
-          (Rng.hash_string
-             (Printf.sprintf "luck:%s:%d" program.Program.name fingerprint))
+          (Rng.hash_strings
+             [ "luck:"; program.Program.name; ":"; string_of_int fingerprint ])
       in
       1.0 +. Float.abs (Rng.gauss rng ~mu:0.0 ~sigma:0.07)
   in

@@ -49,8 +49,8 @@ val link :
   binary
 (** Link units (non-loop module first, as produced by
     {!Cunit.compile_program}) into an executable.
-    @raise Invalid_argument if the unit list does not cover exactly the
-    program's regions. *)
+    @raise Invalid_argument if the unit list is not exactly the program's
+    regions in program order. *)
 
 val assignment_fingerprint : Cunit.t list -> int
 (** The deterministic hash of the module→object-code assignment that seeds

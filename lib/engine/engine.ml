@@ -176,10 +176,10 @@ let flush_checkpoint t =
 (* Time [f] onto a telemetry timer and mirror the accumulation into the
    trace (wall clock only — durations are not deterministic facts). *)
 let timed t name f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Clock.now () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Ft_util.Clock.now () -. t0 in
       Telemetry.add_time t.telemetry name dt;
       Trace.timer t.trace ~name ~seconds:dt)
     f
@@ -197,32 +197,60 @@ let instrumented = function
    share a key. *)
 let canonical_key ~(toolchain : Toolchain.t) ~(program : Ft_prog.Program.t)
     ~(input : Input.t) build =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf toolchain.Toolchain.cprofile.Ft_compiler.Cprofile.name;
-  Buffer.add_char buf ';';
-  Buffer.add_string buf
-    (Platform.short_name toolchain.Toolchain.arch.Ft_machine.Arch.platform);
-  Buffer.add_char buf ';';
-  Buffer.add_string buf program.Ft_prog.Program.name;
-  Printf.bprintf buf ";size=%h;steps=%d;" input.Input.size input.Input.steps;
-  (* Hand-rolled appends below: this runs once per evaluation (and the
-     bytes are pinned — they are what existing caches digested). *)
-  (match build with
-  | Uniform { cv; instrumented } ->
-      Buffer.add_string buf
-        (if instrumented then "uniform;instr=true;" else "uniform;instr=false;");
-      Cv.add_compact buf cv
-  | Assigned { assignment; instrumented } ->
-      Buffer.add_string buf
-        (if instrumented then "assigned;instr=true" else "assigned;instr=false");
-      List.iter
-        (fun (m, cv) ->
-          Buffer.add_char buf ';';
-          Buffer.add_string buf m;
-          Buffer.add_char buf '=';
-          Cv.add_compact buf cv)
-        (List.sort (fun (a, _) (b, _) -> String.compare a b) assignment));
-  Buffer.contents buf
+  (* This runs once per evaluation and its bytes are pinned (they are what
+     existing caches digested), so it is written straight into a string
+     of the exact final length: no buffer growth, no copy, no per-CV
+     intermediate. *)
+  let head =
+    [
+      toolchain.Toolchain.cprofile.Ft_compiler.Cprofile.name;
+      ";";
+      Platform.short_name toolchain.Toolchain.arch.Ft_machine.Arch.platform;
+      ";";
+      program.Ft_prog.Program.name;
+      Printf.sprintf ";size=%h;steps=%d;" input.Input.size input.Input.steps;
+      (match build with
+      | Uniform { instrumented = true; _ } -> "uniform;instr=true;"
+      | Uniform { instrumented = false; _ } -> "uniform;instr=false;"
+      | Assigned { instrumented = true; _ } -> "assigned;instr=true"
+      | Assigned { instrumented = false; _ } -> "assigned;instr=false");
+    ]
+  in
+  let modules =
+    match build with
+    | Uniform _ -> [||]
+    | Assigned { assignment; _ } ->
+        let a = Array.of_list assignment in
+        Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) a;
+        a
+  in
+  (* The layout, described once: run to measure, then to write. *)
+  let emit ~put ~put_cv =
+    List.iter put head;
+    match build with
+    | Uniform { cv; _ } -> put_cv cv
+    | Assigned _ ->
+        Array.iter
+          (fun (m, cv) ->
+            put ";";
+            put m;
+            put "=";
+            put_cv cv)
+          modules
+  in
+  let len = ref 0 in
+  emit
+    ~put:(fun s -> len := !len + String.length s)
+    ~put_cv:(fun _ -> len := !len + Cv.compact_length);
+  let out = Bytes.create !len and pos = ref 0 in
+  emit
+    ~put:(fun s ->
+      Bytes.blit_string s 0 out !pos (String.length s);
+      pos := !pos + String.length s)
+    ~put_cv:(fun cv ->
+      Cv.blit_compact cv out !pos;
+      pos := !pos + Cv.compact_length);
+  Bytes.unsafe_to_string out
 
 let key ~toolchain ~program ~input build =
   Cache.digest (canonical_key ~toolchain ~program ~input build)

@@ -150,11 +150,12 @@ val checkpoint : t -> Checkpoint.t option
 val trace : t -> Ft_obs.Trace.t option
 
 val timed : t -> string -> (unit -> 'a) -> 'a
-(** [timed t name f] runs [f], accumulating its wall time both on the
-    telemetry timer [name] and (wall-clock traces only) as a trace
-    {!Ft_obs.Event.Timer} event, keeping the two stores derivable from
-    one another.  Used by the engine for ["build"]/["run"] and by the
-    search layers for their phase timers. *)
+(** [timed t name f] runs [f], accumulating its elapsed time (on the
+    monotonic {!Ft_util.Clock}) both on the telemetry timer [name] and
+    (wall-clock traces only) as a trace {!Ft_obs.Event.Timer} event,
+    keeping the two stores derivable from one another.  Used by the
+    engine for ["build"]/["run"] and by the search layers for their
+    phase timers. *)
 
 val flush_checkpoint : t -> unit
 (** Force a checkpoint snapshot now (no-op without an attached

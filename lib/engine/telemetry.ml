@@ -97,8 +97,8 @@ let add_time t phase seconds =
       Hashtbl.replace t.timers phase (prior +. seconds))
 
 let time t phase f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> add_time t phase (Unix.gettimeofday () -. t0)) f
+  let t0 = Ft_util.Clock.now () in
+  Fun.protect ~finally:(fun () -> add_time t phase (Ft_util.Clock.now () -. t0)) f
 
 let set_progress t callback = t.progress <- Some callback
 

@@ -50,9 +50,10 @@ val add_time : t -> string -> float -> unit
 (** Accumulate [seconds] onto a named phase timer. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t phase f] runs [f], accumulating its wall-clock duration onto
-    [phase] (even if [f] raises).  Phases timed inside parallel workers
-    accumulate CPU-side: their sum may exceed elapsed wall time. *)
+(** [time t phase f] runs [f], accumulating its duration on the
+    monotonic {!Ft_util.Clock} onto [phase] (even if [f] raises).
+    Phases timed inside parallel workers accumulate CPU-side: their sum
+    may exceed elapsed wall time. *)
 
 val set_progress : t -> (completed:int -> expected:int -> unit) -> unit
 (** Install a progress callback, invoked (serialized) after every engine

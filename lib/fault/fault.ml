@@ -35,9 +35,13 @@ let describe t =
 (* Every decision is drawn from a private stream seeded by a hash of
    (fault seed, kind, structural key) — the Quirk construction — so the
    schedule is a pure function of the model and the key, independent of
-   worker count and evaluation order. *)
+   worker count and evaluation order.  The key is a list of pieces, hashed
+   as if joined ("fault:<seed>:<kind>:<pieces>"), so no seed string is
+   built. *)
 let stream t kind key =
-  Rng.create (Rng.hash_string (Printf.sprintf "fault:%d:%s:%s" t.seed kind key))
+  Rng.create
+    (Rng.hash_strings
+       ("fault:" :: string_of_int t.seed :: ":" :: kind :: ":" :: key))
 
 let draw t kind key = Rng.float (stream t kind key) 1.0
 
@@ -55,11 +59,8 @@ let hostility cv =
   h
 
 let ice t ~program ~module_name cv =
-  let key =
-    Printf.sprintf "%s:%s:%s" program module_name (Cv.to_compact cv)
-  in
   let p = Float.min 0.95 (t.compile_fail_rate *. hostility cv) in
-  draw t "ice" key < p
+  draw t "ice" [ program; ":"; module_name; ":"; Cv.to_compact cv ] < p
 
 (* --- run faults ------------------------------------------------------- *)
 
@@ -79,6 +80,7 @@ let run_fault t ~key ~attempt =
   (* The class and its parameters are per-build (persistent across
      attempts); only whether a *transient* fault still fires depends on
      the attempt number. *)
+  let key = [ key ] in
   let u = draw t "run" key in
   let transient () = draw t "transient" key < t.transient_fraction in
   (* Transient faults fire on the first 1 or 2 attempts, then clear. *)
@@ -99,13 +101,13 @@ let run_fault t ~key ~attempt =
   else Run_ok
 
 let corrupt_signature ~key expected =
-  let salt = Rng.hash_string ("corrupt:" ^ key) lor 1 in
+  let salt = Rng.hash_strings [ "corrupt:"; key ] lor 1 in
   expected lxor salt
 
 (* --- measurement outliers --------------------------------------------- *)
 
 let outlier t ~key ~repeat =
-  let k = Printf.sprintf "%s:%d" key repeat in
+  let k = [ key; ":"; string_of_int repeat ] in
   if draw t "outlier" k < t.outlier_rate then
     Some (pareto (stream t "outlier-mult" k) ~scale:1.5 ~alpha:0.8)
   else None

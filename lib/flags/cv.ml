@@ -29,12 +29,6 @@ let value_name t id = (Flag.values id).(get t id)
 let equal = ( = )
 let compare = compare
 
-let hash t =
-  (* Order-dependent polynomial fold; stable across runs (no generic
-     Hashtbl.hash, whose behaviour could change between compiler
-     versions). *)
-  Array.fold_left (fun acc v -> (acc * 31) + v + 17) 1469598103 t
-
 let render_flag id v =
   let value = (Flag.values id).(v) in
   match id with
@@ -57,20 +51,27 @@ let render_full t =
   |> List.map (fun id -> render_flag id (get t id))
   |> String.concat " "
 
-let add_compact buf t =
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf '.';
-      (* Every domain has arity <= 9, so values are single digits; the
-         general path keeps [of_compact] round-trips total anyway. *)
-      if v >= 0 && v < 10 then Buffer.add_char buf (Char.chr (Char.code '0' + v))
-      else Buffer.add_string buf (string_of_int v))
-    t
+(* Every domain has at most 10 values, so each value is one digit and
+   the compact form is a fixed-width block: digits at even offsets, dots
+   between them. *)
+let () = assert (Array.for_all (fun id -> Flag.arity id <= 10) Flag.all)
+let compact_length = (2 * Flag.count) - 1
+
+let digit t i = Char.unsafe_chr (Char.code '0' + Array.unsafe_get t i)
+
+let blit_compact t dst pos =
+  if pos < 0 || pos > Bytes.length dst - compact_length then
+    invalid_arg "Cv.blit_compact: destination too short";
+  Bytes.unsafe_set dst pos (digit t 0);
+  for i = 1 to Flag.count - 1 do
+    Bytes.unsafe_set dst (pos + (2 * i) - 1) '.';
+    Bytes.unsafe_set dst (pos + (2 * i)) (digit t i)
+  done
 
 let to_compact t =
-  let buf = Buffer.create (2 * Array.length t) in
-  add_compact buf t;
-  Buffer.contents buf
+  let b = Bytes.create compact_length in
+  blit_compact t b 0;
+  Bytes.unsafe_to_string b
 
 let of_compact s =
   let parts = String.split_on_char '.' s in

@@ -31,10 +31,6 @@ val value_name : t -> Flag.id -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val hash : t -> int
-(** Structural hash, stable across runs (used for deterministic link-time
-    perturbations keyed on module→CV assignments). *)
-
 val render : t -> string
 (** Human-readable command line showing only flags that differ from O3,
     e.g. ["-O3 -unroll=4 -qopt-streaming-stores=always"].  [render o3] is
@@ -46,10 +42,16 @@ val render_full : t -> string
 val to_compact : t -> string
 (** Compact machine-readable encoding (dot-separated value indices). *)
 
-val add_compact : Buffer.t -> t -> unit
-(** Append exactly {!to_compact} to a buffer without building the
-    intermediate string (cache-key construction is an evaluation hot
-    path). *)
+val compact_length : int
+(** [String.length (to_compact t)] for every [t]: every flag value is one
+    digit, so the encoding has a fixed width. *)
+
+val blit_compact : t -> bytes -> int -> unit
+(** [blit_compact t dst pos] writes exactly {!to_compact} into
+    [dst] at [pos], as one block and without building the intermediate
+    string (cache-key construction is an evaluation hot path).
+    @raise Invalid_argument if [dst] has no room for {!compact_length}
+    bytes at [pos]. *)
 
 val of_compact : string -> t option
 (** Inverse of {!to_compact}; [None] on malformed or out-of-domain input. *)

@@ -13,61 +13,91 @@ let flag_factor ~platform ~program ~region (flag : Flag.id) value =
   let rng = Rng.create (Rng.hash_string key) in
   1.0 +. ((Rng.float rng 2.0 -. 1.0) *. amplitude)
 
-(* The same ~1000 pooled CVs are priced against the same regions hundreds
-   of thousands of times during a search, so two layers are memoized:
+(* Pricing a CV on a region multiplies 33 per-(flag, value) factors, and
+   a search prices the same few hundred regions hundreds of thousands of
+   times, so each region's factors are computed once: one flat table of
+   every (flag, value) multiplier, [offsets.(i) + v] being flag [i]'s
+   value [v].  Seed strings and hashes are paid only there.
 
-   - Per (platform, program, region): the multiplier of {e every}
-     (flag, value) pair — 33 flags x arity <= 6 — computed once.  Pricing
-     a CV the region has never seen is then 33 array reads and multiplies
-     instead of 33 seed-string formats and hashes, which used to dominate
-     the whole evaluation hot path (the seed strings cost ~60k minor
-     words per evaluation).
-   - Per (region, CV): the finished product, keyed on [Cv.hash].  [Cv.hash]
-     is stable and collisions are harmless here (a collision would only
-     alias one ±few-% texture value).
+   The tables are process-wide and copy-on-write.  Readers take the
+   current snapshot (an immutable bucket array) with one [Atomic.get] and
+   never lock; a miss builds the table under [lock], re-checking first,
+   and publishes a new snapshot holding it.  A table never changes once
+   published, so every domain shares it.  The number of tables is the
+   number of distinct (platform, program, region) triples priced — fixed
+   by the suite, not by how many CVs a search evaluates.
 
-   Both tables are domain-local: [Exec.evaluate] runs inside worker
-   domains, and a shared [Hashtbl] mutated concurrently would race.  Each
-   domain rebuilds at most a few kilobytes of table.
+   The product itself is recomputed on every call, in [Flag.all] order
+   from 1.0, so every factor is bit-identical to the in-order product of
+   {!flag_factor}. *)
+let offsets, width =
+  let o = Array.make Flag.count 0 and w = ref 0 in
+  Array.iteri
+    (fun i flag ->
+      o.(i) <- !w;
+      w := !w + Flag.arity flag)
+    Flag.all;
+  (o, !w)
 
-   The product folds over [Flag.all] in canonical order, so every factor
-   is bit-identical to the unmemoized computation. *)
-type tables = {
-  regions : (string, float array array) Hashtbl.t;
-  products : (string * int, float) Hashtbl.t;
+type entry = {
+  platform : Ft_prog.Platform.t;
+  program : string;
+  region : string;
+  table : float array;
 }
 
-let dls : tables Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { regions = Hashtbl.create 64; products = Hashtbl.create 4096 })
+let buckets = 256
+let snapshot : entry list array Atomic.t = Atomic.make (Array.make buckets [])
+let lock = Mutex.create ()
+
+let bucket ~program ~region =
+  (Rng.hash_string program + (31 * Rng.hash_string region)) land (buckets - 1)
+
+(* [[||]] when absent; a real table is never empty. *)
+let rec lookup ~platform ~program ~region = function
+  | [] -> [||]
+  | e :: rest ->
+      if
+        e.platform = platform
+        && String.equal e.region region
+        && String.equal e.program program
+      then e.table
+      else lookup ~platform ~program ~region rest
 
 let build_table ~platform ~program ~region =
-  Array.map
-    (fun flag ->
-      Array.init (Flag.arity flag) (fun value ->
-          flag_factor ~platform ~program ~region flag value))
-    Flag.all
+  let table = Array.make width 1.0 in
+  Array.iteri
+    (fun i flag ->
+      for v = 0 to Flag.arity flag - 1 do
+        table.(offsets.(i) + v) <- flag_factor ~platform ~program ~region flag v
+      done)
+    Flag.all;
+  table
+
+let table ~platform ~program ~region =
+  let b = bucket ~program ~region in
+  let found = lookup ~platform ~program ~region (Atomic.get snapshot).(b) in
+  if Array.length found > 0 then found
+  else
+    Mutex.protect lock (fun () ->
+        let snap = Atomic.get snapshot in
+        let found = lookup ~platform ~program ~region snap.(b) in
+        if Array.length found > 0 then found
+        else begin
+          let table = build_table ~platform ~program ~region in
+          let snap = Array.copy snap in
+          snap.(b) <- { platform; program; region; table } :: snap.(b);
+          Atomic.set snapshot snap;
+          table
+        end)
 
 let factor ~platform ~program ~region cv =
-  let t = Domain.DLS.get dls in
-  let rkey =
-    Ft_prog.Platform.short_name platform ^ ":" ^ program ^ ":" ^ region
-  in
-  let mkey = (rkey, Cv.hash cv) in
-  match Hashtbl.find_opt t.products mkey with
-  | Some f -> f
-  | None ->
-      let table =
-        match Hashtbl.find_opt t.regions rkey with
-        | Some tab -> tab
-        | None ->
-            let tab = build_table ~platform ~program ~region in
-            Hashtbl.replace t.regions rkey tab;
-            tab
-      in
-      let f = ref 1.0 in
-      Array.iteri
-        (fun i flag -> f := !f *. table.(i).(Cv.get cv flag))
-        Flag.all;
-      Hashtbl.replace t.products mkey !f;
+  let table = table ~platform ~program ~region in
+  let f = ref 1.0 in
+  for i = 0 to Flag.count - 1 do
+    f :=
       !f
+      *. Array.unsafe_get table
+           (Array.unsafe_get offsets i + Cv.get cv (Array.unsafe_get Flag.all i))
+  done;
+  !f

@@ -8,9 +8,15 @@
     landscape is rugged but perfectly reproducible: the same CV on the same
     loop always performs identically.
 
-    The magnitude is small (each flag contributes ±1.5 %); first-order model
-    terms dominate, but top-X per-loop pruning has realistic fine structure
-    to exploit. *)
+    The magnitude is small (each flag value contributes a factor within
+    ±0.2 %); first-order model terms dominate, but top-X per-loop pruning
+    has realistic fine structure to exploit.
+
+    Each region's multipliers for every (flag, value) pair are computed
+    once per process into a table shared by all domains: built under a
+    lock on the region's first use, immutable afterwards, read without
+    locking.  There is one table per (platform, program, region) priced,
+    however many CVs are. *)
 
 val factor :
   platform:Ft_prog.Platform.t ->
@@ -18,10 +24,12 @@ val factor :
   region:string ->
   Ft_flags.Cv.t ->
   float
-(** Product of the per-flag multipliers for this CV on this region; always
-    within [(1 - 0.015)^33, (1 + 0.015)^33] ≈ [0.61, 1.63] in theory, and
-    within a few percent of 1.0 in practice (independent ± contributions
-    cancel). *)
+(** Product of the per-flag multipliers for this CV on this region, taken
+    in {!Ft_flags.Flag.all} order from 1.0 (so bit-identical to folding
+    {!flag_factor} over the flags); always within
+    [(1 - 0.002)^33, (1 + 0.002)^33] ≈ [0.936, 1.068], and within about
+    ±1.5 % of 1.0 in practice (independent ± contributions cancel).  Safe to
+    call from any domain; allocates only its result. *)
 
 val flag_factor :
   platform:Ft_prog.Platform.t ->

@@ -23,15 +23,22 @@ let split t =
   let child_seed = int64 t in
   { state = child_seed }
 
-let hash_string s =
-  (* FNV-1a over bytes, folded to a non-negative OCaml int. *)
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Int64.to_int !h land max_int
+(* FNV-1a over bytes, folded to a non-negative OCaml int.  The fold keeps
+   the low 62 bits of the 64-bit hash, and the low 63 bits of a 64-bit
+   product or xor depend only on the low 63 bits of its operands, so the
+   state runs in a native (immediate, never boxed) int. *)
+let fnv_offset = Int64.to_int 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3
+
+let fnv_feed h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+  done;
+  !h
+
+let hash_string s = fnv_feed fnv_offset s land max_int
+let hash_strings parts = List.fold_left fnv_feed fnv_offset parts land max_int
 
 let of_label t label =
   let mixed =

@@ -71,4 +71,11 @@ val sample_without_replacement : t -> int -> int -> int list
 
 val hash_string : string -> int
 (** The label hash used by {!of_label}, exposed for deterministic
-    model perturbations keyed by structural names. *)
+    model perturbations keyed by structural names: 64-bit FNV-1a over the
+    bytes, folded to a non-negative int.  Allocates nothing. *)
+
+val hash_strings : string list -> int
+(** [hash_strings parts] is [hash_string (String.concat "" parts)],
+    computed by feeding the parts in order without building the
+    concatenation — for seeds whose label has a fixed shape (e.g.
+    ["lto:"; program; ":"; region]). *)

@@ -50,3 +50,34 @@ let rec remove_tree path =
     Unix.rmdir path
   end
   else Sys.remove path
+
+(* [in_child f] runs [f] in a forked child and returns its result,
+   marshalled back over a pipe; an exception in the child is re-raised in
+   the parent as [Failure].  The runtime refuses [Unix.fork] in any
+   process that has ever spawned a domain, so a test process that must
+   keep forking runs domain-spawning work this way.  The result must be
+   plain data (no closures). *)
+let in_child (f : unit -> 'a) : 'a =
+  flush_all ();
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  match Unix.fork () with
+  | 0 ->
+      Unix.close rd;
+      let reply =
+        match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+      in
+      let oc = Unix.out_channel_of_descr wr in
+      Marshal.to_channel oc (reply : ('a, string) result) [];
+      close_out oc;
+      Unix._exit 0
+  | pid ->
+      Unix.close wr;
+      let ic = Unix.in_channel_of_descr rd in
+      let reply =
+        Fun.protect
+          ~finally:(fun () ->
+            close_in_noerr ic;
+            ignore (Unix.waitpid [] pid))
+          (fun () -> (Marshal.from_channel ic : ('a, string) result))
+      in
+      (match reply with Ok v -> v | Error msg -> failwith ("in child: " ^ msg))

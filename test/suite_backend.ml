@@ -351,18 +351,21 @@ let test_differential_survives_node_kills () =
    algorithm, results and logical traces are byte-identical whether the
    checkpoint is written as v1 text or v2 binary, at any backend and jobs
    count — and the two checkpoint files, though byte-different on disk,
-   load to semantically identical caches. *)
+   load to semantically identical caches.  Each leg runs in a forked
+   child: a domains leg at jobs > 1 spawns domains, after which this
+   process could no longer fork the later tests' workers. *)
 let check_format_differential configs algo name =
   let dir = Test_helpers.temp_dir "format-diff" in
   Fun.protect
     ~finally:(fun () -> Test_helpers.remove_tree dir)
     (fun () ->
       let run i format backend jobs =
-        let path = Filename.concat dir (Printf.sprintf "ck-%d.cache" i) in
-        let result, bytes, _ =
-          run_algo ~checkpoint:(path, format) ~backend ~jobs algo
-        in
-        (result, bytes, Cache.bindings (quiet_load path))
+        Test_helpers.in_child (fun () ->
+            let path = Filename.concat dir (Printf.sprintf "ck-%d.cache" i) in
+            let result, bytes, _ =
+              run_algo ~checkpoint:(path, format) ~backend ~jobs algo
+            in
+            (result, bytes, Cache.bindings (quiet_load path)))
       in
       let base_result, base_bytes, base_cache =
         run 0 Cache.Text Backend.Domains 1

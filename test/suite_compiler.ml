@@ -380,10 +380,26 @@ let test_link_luck_positive () =
 
 let test_link_validates_units () =
   let program = Ft_suite.Cloverleaf.program in
-  Alcotest.check_raises "unit set checked"
-    (Invalid_argument "Linker.link: units do not match the program's regions")
-    (fun () ->
-      ignore (Linker.link ~target:bdw ~program []))
+  let rejected =
+    Invalid_argument "Linker.link: units do not match the program's regions"
+  in
+  Alcotest.check_raises "unit set checked" rejected (fun () ->
+      ignore (Linker.link ~target:bdw ~program []));
+  (* Fresh, structurally equal CVs per module: still one CV everywhere. *)
+  let units =
+    Cunit.compile_program ~profile:icc ~target:bdw
+      ~cv_of:(fun _ -> Cv.set Cv.o3 Flag.Ipo 1)
+      program
+  in
+  Alcotest.(check bool) "program order accepted, uniform by value" true
+    (Linker.link ~target:bdw ~program units).Linker.uniform;
+  Alcotest.check_raises "missing region rejected" rejected (fun () ->
+      ignore (Linker.link ~target:bdw ~program (List.tl units)));
+  let nonloop = List.hd units and loops = List.tl units in
+  Alcotest.check_raises "duplicated region rejected" rejected (fun () ->
+      ignore
+        (Linker.link ~target:bdw ~program
+           ((nonloop :: List.tl loops) @ [ nonloop ])))
 
 let test_fingerprint_tracks_decisions_not_flags () =
   (* Changing a flag that changes no decision must not change the link. *)

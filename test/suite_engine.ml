@@ -322,6 +322,32 @@ let test_key_sensitivity () =
        (Engine.Assigned
           { assignment = [ ("b", Ft_flags.Cv.o2); ("a", cv) ]; instrumented = false }))
 
+(* Cache keys are persistent: a checkpoint written by one build of funcy
+   is read by the next, so the canonical bytes behind a key may never
+   drift.  The digests below were taken from an earlier implementation of
+   the key construction (a growing [Buffer] with per-digit appends), so
+   they check the current one against an independent witness. *)
+let test_key_bytes_pinned () =
+  let key build = Engine.key ~toolchain ~program ~input build in
+  let cv1 = Ft_flags.Cv.set Ft_flags.Cv.o3 Ft_flags.Flag.Unroll 4 in
+  let cv2 =
+    Ft_flags.Cv.set
+      (Ft_flags.Cv.set Ft_flags.Cv.o2 Ft_flags.Flag.Ipo 1)
+      Ft_flags.Flag.Tile 3
+  in
+  Alcotest.(check string) "uniform build key"
+    "df999b9ccfd8c5018224b6e82562f580"
+    (key (Engine.Uniform { cv = cv1; instrumented = false }));
+  Alcotest.(check string) "assigned build key"
+    "2c3189a72bf026f07a9587eeb824ee22"
+    (key
+       (Engine.Assigned
+          {
+            assignment =
+              [ ("zeta", cv1); ("<residual>", cv2); ("alpha", Ft_flags.Cv.o3) ];
+            instrumented = true;
+          }))
+
 (* --- telemetry -------------------------------------------------------------- *)
 
 let test_telemetry_progress_and_timers () =
@@ -391,6 +417,7 @@ let suite =
       Alcotest.test_case "preloaded cache changes nothing" `Quick
         test_preloaded_cache_changes_nothing;
       Alcotest.test_case "cache key sensitivity" `Quick test_key_sensitivity;
+      Alcotest.test_case "cache key bytes pinned" `Quick test_key_bytes_pinned;
       Alcotest.test_case "telemetry progress and timers" `Quick
         test_telemetry_progress_and_timers;
       Alcotest.test_case "telemetry render" `Quick test_render_mentions_counters;

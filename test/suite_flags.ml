@@ -100,20 +100,27 @@ let test_compact_roundtrip () =
   let rng = Rng.create 17 in
   for _ = 1 to 50 do
     let cv = Space.sample rng in
-    match Cv.of_compact (Cv.to_compact cv) with
+    let compact = Cv.to_compact cv in
+    let digits =
+      List.map (fun id -> string_of_int (Cv.get cv id)) (Array.to_list Flag.all)
+    in
+    Alcotest.(check string) "digits and dots" (String.concat "." digits)
+      compact;
+    Alcotest.(check int) "fixed width" Cv.compact_length
+      (String.length compact);
+    match Cv.of_compact compact with
     | Some cv' -> Alcotest.(check bool) "roundtrip" true (Cv.equal cv cv')
     | None -> Alcotest.fail "compact roundtrip failed"
   done;
+  let dst = Bytes.make (Cv.compact_length + 4) '#' in
+  Cv.blit_compact Cv.o3 dst 2;
+  Alcotest.(check string) "blit writes exactly the block"
+    ("##" ^ Cv.to_compact Cv.o3 ^ "##") (Bytes.to_string dst);
+  Alcotest.check_raises "blit past the end rejected"
+    (Invalid_argument "Cv.blit_compact: destination too short") (fun () ->
+      Cv.blit_compact Cv.o3 dst 5);
   Alcotest.(check bool) "garbage rejected" true (Cv.of_compact "zzz" = None);
   Alcotest.(check bool) "short rejected" true (Cv.of_compact "1.2.3" = None)
-
-let test_hash_stable () =
-  let rng = Rng.create 18 in
-  let cv = Space.sample rng in
-  Alcotest.(check int) "hash deterministic" (Cv.hash cv) (Cv.hash cv);
-  let cv' = Space.mutate rng cv in
-  Alcotest.(check bool) "mutation changes hash (almost surely)" true
-    (Cv.hash cv <> Cv.hash cv')
 
 let test_bits_roundtrip () =
   let rng = Rng.create 19 in
@@ -237,7 +244,6 @@ let suite =
       Alcotest.test_case "set/get" `Quick test_set_get;
       Alcotest.test_case "rendering" `Quick test_render;
       Alcotest.test_case "compact roundtrip" `Quick test_compact_roundtrip;
-      Alcotest.test_case "hash stable" `Quick test_hash_stable;
       Alcotest.test_case "bits roundtrip" `Quick test_bits_roundtrip;
       Alcotest.test_case "bits rejects foreign" `Quick
         test_bits_rejects_foreign_values;

@@ -82,6 +82,66 @@ let test_flag_factor_bounds () =
       done)
     Flag.all
 
+(* The definition the shared quirk tables must reproduce bit for bit: the
+   product of the per-flag multipliers, in [Flag.all] order, from 1.0. *)
+let reference_factor ~platform ~program ~region cv =
+  Array.fold_left
+    (fun acc flag ->
+      acc *. Quirk.flag_factor ~platform ~program ~region flag (Cv.get cv flag))
+    1.0 Flag.all
+
+(* The bits of every (platform, region, CV) price on a grid, under a
+   pricing function. *)
+let price_bits price ~program regions cvs =
+  List.concat_map
+    (fun platform ->
+      List.concat_map
+        (fun region ->
+          Array.to_list
+            (Array.map
+               (fun cv ->
+                 Int64.bits_of_float (price ~platform ~program ~region cv))
+               cvs))
+        regions)
+    Platform.all
+
+let test_quirk_is_in_order_product () =
+  let rng = Ft_util.Rng.create 43 in
+  let cvs =
+    Array.append [| Cv.o3; Cv.o2 |]
+      (Array.init 30 (fun _ -> Ft_flags.Space.sample rng))
+  in
+  let regions =
+    List.map
+      (fun (l : Loop.t) -> l.Loop.name)
+      (program.Program.nonloop :: program.Program.loops)
+  in
+  let program = program.Program.name in
+  Alcotest.(check (list int64))
+    "suite regions: bit-identical to the in-order product"
+    (price_bits reference_factor ~program regions cvs)
+    (price_bits Quirk.factor ~program regions cvs);
+  (* Two domains start together on regions no one has priced before, so
+     they race to build (and read) the same tables. *)
+  let program = "quirk-race" in
+  let fresh = List.init 24 (fun i -> Printf.sprintf "unseen-%d" i) in
+  let ready = Atomic.make 0 in
+  let race () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    price_bits Quirk.factor ~program fresh cvs
+  in
+  let other = Domain.spawn race in
+  let here = race () in
+  let there = Domain.join other in
+  let reference = price_bits reference_factor ~program fresh cvs in
+  Alcotest.(check (list int64)) "concurrent first use: this domain"
+    reference here;
+  Alcotest.(check (list int64)) "concurrent first use: the other domain"
+    reference there
+
 (* --- Exec: determinism and structure ------------------------------------ *)
 
 let test_evaluate_deterministic () =
@@ -265,6 +325,8 @@ let suite =
       Alcotest.test_case "quirk bounds" `Quick test_quirk_bounds;
       Alcotest.test_case "quirk per-region" `Quick test_quirk_varies_by_region;
       Alcotest.test_case "flag factor bounds" `Quick test_flag_factor_bounds;
+      Alcotest.test_case "quirk = in-order flag product" `Quick
+        test_quirk_is_in_order_product;
       Alcotest.test_case "evaluate pure" `Quick test_evaluate_deterministic;
       Alcotest.test_case "regions additive" `Quick test_total_is_sum_of_regions;
       Alcotest.test_case "region coverage" `Quick

@@ -345,6 +345,28 @@ let prop_rng_state_roundtrip =
       let ys = List.init 20 (fun _ -> Rng.int64 r') in
       xs = ys)
 
+(* The FNV-1a hash as first written: a boxed Int64 fold over the bytes.
+   Kept as the oracle the allocation-free loop must match, because every
+   model seed (quirks, link-time perturbations, faults) is derived from
+   it. *)
+let reference_fnv s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  Int64.to_int !h land max_int
+
+let prop_hash_strings_is_hash_of_concat =
+  QCheck.Test.make ~count:500
+    ~name:"hash_strings = hash_string of the concatenation = reference FNV"
+    QCheck.(list_of_size Gen.(int_range 0 8) string)
+    (fun parts ->
+      let whole = String.concat "" parts in
+      Rng.hash_strings parts = Rng.hash_string whole
+      && Rng.hash_string whole = reference_fnv whole)
+
 (* --- NaN rejection ----------------------------------------------------- *)
 
 (* A NaN loses every [<] comparison and sorts below -infinity under
@@ -441,6 +463,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_geomean_le_mean;
       QCheck_alcotest.to_alcotest prop_label_streams_sibling_independent;
       QCheck_alcotest.to_alcotest prop_rng_state_roundtrip;
+      QCheck_alcotest.to_alcotest prop_hash_strings_is_hash_of_concat;
       QCheck_alcotest.to_alcotest prop_aggregates_reject_nan;
       QCheck_alcotest.to_alcotest prop_selectors_reject_nan;
       QCheck_alcotest.to_alcotest prop_median_permutation_invariant;
