@@ -66,7 +66,9 @@ smoke-trace: build
 #   1. --backend processes --jobs 4 tune output AND its logical trace are
 #      byte-identical to --backend domains --jobs 1;
 #   2. they stay byte-identical when a worker is SIGKILLed mid-search
-#      (--kill-workers-after): the crashed job is retried bit-identically.
+#      (--kill-workers-after): the crashed job is retried bit-identically;
+#   3. the same holds at K=600 under the fault model, where chunks reach
+#      their cap and a kill lands past a worker's first chunk.
 smoke-procs: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-procs-d.jsonl --trace-clock logical \
@@ -82,15 +84,24 @@ smoke-procs: build
 	  > _build/smoke-procs-k.out
 	cmp _build/smoke-procs-d.out _build/smoke-procs-k.out
 	cmp _build/smoke-procs-d.jsonl _build/smoke-procs-k.jsonl
+	$(FUNCY) tune -b swim -a cfr -k 600 --faults --fault-seed 7 --jobs 1 \
+	  --trace _build/smoke-procs-fd.jsonl --trace-clock logical \
+	  > _build/smoke-procs-fd.out
+	$(FUNCY) tune -b swim -a cfr -k 600 --faults --fault-seed 7 --jobs 4 \
+	  --backend processes --kill-workers-after 100 \
+	  --trace _build/smoke-procs-fk.jsonl --trace-clock logical \
+	  > _build/smoke-procs-fk.out
+	cmp _build/smoke-procs-fd.out _build/smoke-procs-fk.out
+	cmp _build/smoke-procs-fd.jsonl _build/smoke-procs-fk.jsonl
 	@echo "smoke-procs OK: processes backend byte-identical to domains, even under worker kills"
 
-# Sharded-backend smoke (see DESIGN.md section 17):
+# Sharded-backend smoke (see DESIGN.md section 11):
 #   1. --backend sharded --nodes 4 tune output AND its logical trace are
 #      byte-identical to --backend domains --jobs 4 (itself already
 #      checked against --jobs 1 by `smoke`);
-#   2. they stay byte-identical when node 0 is SIGKILLed mid-search
-#      (--kill-node-after): its shard migrates by work stealing and the
-#      in-flight job retries bit-identically.
+#   2. they stay byte-identical when the first node is SIGKILLed
+#      mid-search (--kill-node-after): its unanswered chunks return to
+#      the cursor and the job it was running retries bit-identically.
 smoke-shard: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 4 \
 	  --trace _build/smoke-shard-d.jsonl --trace-clock logical \

@@ -430,8 +430,8 @@ let run_json_bench () =
   let platform = Ft_prog.Platform.Broadwell in
   let program = Option.get (Ft_suite.Suite.find "363.swim") in
   let input = Ft_suite.Suite.tuning_input platform program in
-  (* 1a. sharded tune: coordinator/worker fleet.  Runs first — the
-     sharded backend forks node processes, which is illegal once this
+  (* 1a. sharded tune: the forked pool at the node count.  Runs first —
+     the sharded backend forks workers, which is illegal once this
      process has spawned a domain (the solo tune may, with --jobs). *)
   let shard_nodes = 4 in
   let shard_result, shard_wall =
@@ -765,7 +765,6 @@ let parse_args argv =
   go [] (List.tl (Array.to_list argv))
 
 let () =
-  Ft_shard.Shard.install ();
   let names = parse_args Sys.argv in
   if !json_out then begin
     if names <> [] then

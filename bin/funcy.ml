@@ -105,11 +105,11 @@ let backend_t =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Evaluation substrate: $(b,domains) (default; shared-memory OCaml \
-           domains), $(b,processes) (a pool of forked workers — a \
-           crashing evaluation loses one worker, never the search) or \
-           $(b,sharded) (a coordinator over $(b,--nodes) forked node \
-           processes with pre-partitioned shards and work stealing).  Tune \
-           output and logical traces are byte-identical across backends.")
+           domains), $(b,processes) (a pool of $(b,--jobs) forked workers \
+           fed chunks of each batch — a crashing evaluation loses one \
+           worker, never the search) or $(b,sharded) (the same pool with \
+           $(b,--nodes) workers).  Tune output and logical traces are \
+           byte-identical across backends.")
 
 let kill_workers_t =
   Arg.(
@@ -118,9 +118,9 @@ let kill_workers_t =
     & info [ "kill-workers-after" ] ~docv:"N"
         ~doc:
           "Testing hook ($(b,--backend processes) only): in each batch's \
-           first round, one worker SIGKILLs itself after completing \
-           $(docv) jobs, exercising crash recovery; results still match \
-           an uninterrupted run.")
+           first round, the first worker SIGKILLs itself at its \
+           ($(docv)+1)-th job, exercising crash recovery; results still \
+           match an uninterrupted run.")
 
 let nodes_t =
   Arg.(
@@ -128,10 +128,10 @@ let nodes_t =
     & opt (bounded_int_arg ~what:"nodes" ~min_v:1) 1
     & info [ "nodes" ] ~docv:"N"
         ~doc:
-          "Node count for $(b,--backend sharded) (default 1): the \
-           coordinator pre-partitions each batch into $(docv) contiguous \
-           shards, one per forked node, rebalanced by work stealing.  \
-           Results are bit-identical for any value.")
+          "Worker count for $(b,--backend sharded) (default 1): each \
+           batch runs on $(docv) forked workers fed contiguous chunks \
+           from one shared cursor.  Results are bit-identical for any \
+           value.")
 
 let kill_node_t =
   Arg.(
@@ -140,10 +140,10 @@ let kill_node_t =
     & info [ "kill-node-after" ] ~docv:"N"
         ~doc:
           "Testing hook ($(b,--backend sharded) only): in each batch's \
-           first round, node 0 SIGKILLs itself after completing $(docv) \
-           jobs — its unfed shard migrates to surviving nodes and its \
-           in-flight job retries; results still match an uninterrupted \
-           run.")
+           first round, the first node SIGKILLs itself at its \
+           ($(docv)+1)-th job — its unanswered chunks return to the \
+           cursor and the job it was running retries; results still \
+           match an uninterrupted run.")
 
 let shared_cache_t =
   Arg.(
@@ -1514,8 +1514,6 @@ let loadgen_cmd =
       $ benchmarks_t $ wait_t $ reconnect_t $ max_attempts_t)
 
 let () =
-  (* Enable --backend sharded everywhere an engine can be built. *)
-  Ft_shard.Shard.install ();
   let doc = "FuncyTuner: per-loop compilation auto-tuning (ICPP'19 reproduction)" in
   let info = Cmd.info "funcy" ~version:"1.0.0" ~doc in
   exit

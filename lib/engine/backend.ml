@@ -13,13 +13,3 @@ let of_name = function
   | "processes" -> Some Processes
   | "sharded" -> Some Sharded
   | _ -> None
-
-let describe = function
-  | Domains ->
-      "shared-memory worker domains (one process, OCaml 5 domains)"
-  | Processes ->
-      "forked worker processes (crash isolation, length-prefixed Marshal \
-       frames over pipes)"
-  | Sharded ->
-      "coordinator + forked worker nodes (--nodes): pre-partitioned shards \
-       with work stealing, cache deltas shipped as binary v2 frames"

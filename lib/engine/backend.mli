@@ -2,19 +2,18 @@
 
     [Domains] (the default) is the original shared-memory {!Pool}: jobs
     run on OCaml 5 domains inside the engine's process, sharing its
-    cache, quarantine, telemetry and trace directly.  [Processes] runs
-    each batch on a fixed-size {!Procpool} of forked workers: a crashing
-    or leaking evaluation takes down only its worker, never the search —
-    the failure surfaces as a typed {!Engine.job_outcome.Worker_crashed}
-    and flows through the engine's retry/quarantine machinery.
-    [Sharded] is the coordinator/worker topology ([Ft_shard]): the batch
-    is pre-partitioned into contiguous shards across [--nodes] forked
-    node processes, straggler shards rebalance by work stealing, and
-    each node ships its cache deltas home as {!Cache_codec} binary v2
-    frames.  All backends compute bit-identical results (and
-    byte-identical logical-clock traces): the choice trades isolation,
-    address-space hygiene and scheduling topology against fork/IPC
-    overhead, never outcomes. *)
+    cache, quarantine, telemetry and trace directly.  [Processes] and
+    [Sharded] both run each batch on the one {!Procpool} of forked
+    workers — [--jobs] workers for [Processes], [--nodes] for [Sharded]
+    — fed contiguous chunks of the batch from one shared cursor: a
+    crashing or leaking evaluation takes down only its worker, never the
+    search, and the failure surfaces as a typed
+    {!Engine.job_outcome.Worker_crashed} that flows through the engine's
+    retry/quarantine machinery.  Each chunk ships its cache, quarantine,
+    telemetry and trace news home as one Marshal frame.  All backends
+    compute bit-identical results (and byte-identical logical-clock
+    traces): the choice trades isolation and address-space hygiene
+    against fork/IPC overhead, never outcomes. *)
 
 type t = Domains | Processes | Sharded
 
@@ -28,6 +27,3 @@ val to_name : t -> string
     spelling). *)
 
 val of_name : string -> t option
-
-val describe : t -> string
-(** One-line human description for banners and [--help]. *)

@@ -92,8 +92,8 @@ let outcome_of_reason = function
 
 (* What a forked worker has added to its (fork-private) cache and
    quarantine copies, so the parent can adopt the entries from the
-   shipment.  Threaded as a field of [t] rather than a parameter so the
-   whole measurement path stays oblivious to which backend runs it. *)
+   chunk's delta.  Threaded as a field of [t] rather than a parameter so
+   the whole measurement path stays oblivious to which backend runs it. *)
 type journal = {
   mutable j_cache : (string * Exec.summary) list;
   mutable j_quar : (string * Quarantine.reason) list;
@@ -477,161 +477,122 @@ let measure_one t ~toolchain ?outline ~program ~input job =
   | Ok m -> m
   | outcome -> raise (Job_failed outcome)
 
-(* -- the process backend ------------------------------------------------ *)
+(* -- the forked backends -------------------------------------------------- *)
 
-(* Everything a forked worker must send home with a job's outcome.  Only
-   plain data: the parent's stores are unreachable from a child (fork
-   copies them), so each job runs against a {e shadow} engine — fresh
-   telemetry, a fresh trace of the same clock, no checkpoint, a journal —
-   and the parent replays the deltas.  A worker that dies before its
-   shipment is written leaves no partial effect anywhere: crashed
-   attempts are invisible, which is exactly the retry semantics the
-   logical-trace byte-identity argument needs. *)
-type shipment = {
-  sh_outcome : job_outcome;
-  sh_cache : (string * Exec.summary) list;
-  sh_quar : (string * Quarantine.reason) list;
-  sh_tel : Telemetry.snapshot;
-  sh_trace : (float * Trace.stamped list) option;
+(* Everything a forked worker must send home with a chunk's outcomes.
+   Only plain data: the parent's stores are unreachable from a child
+   (fork copies them), so each chunk runs against a {e shadow} engine —
+   fresh telemetry, a fresh trace of the same clock, no checkpoint, a
+   journal — and the parent replays the deltas.  A worker that dies
+   before its chunk's reply is written leaves no partial effect
+   anywhere: crashed attempts are invisible, which is exactly the retry
+   semantics the logical-trace byte-identity argument needs. *)
+type delta = {
+  d_cache : (string * Exec.summary) list;
+  d_quar : (string * Quarantine.reason) list;
+  d_tel : Telemetry.snapshot;
+  d_trace : (float * Trace.stamped list) option;
 }
 
-let worker_shipment t ~toolchain ?outline ~program ~input ~batch (i, job) =
-  let shadow_trace =
-    Option.map (fun tr -> Trace.create ~clock:(Trace.clock tr) ()) t.trace
-  in
-  let j = { j_cache = []; j_quar = [] } in
-  let t' =
-    {
-      t with
-      telemetry = Telemetry.create ();
-      trace = shadow_trace;
-      checkpoint = None;
-      journal = Some j;
-    }
-  in
-  let outcome =
-    Trace.in_job shadow_trace ~batch ~index:i (fun () ->
-        try_measure_one t' ~toolchain ?outline ~program ~input job)
-  in
+let shadow t =
   {
-    sh_outcome = outcome;
-    sh_cache = List.rev j.j_cache;
-    sh_quar = List.rev j.j_quar;
-    sh_tel = Telemetry.snapshot t'.telemetry;
-    sh_trace =
-      Option.map (fun tr -> (Trace.epoch tr, Trace.events tr)) shadow_trace;
+    t with
+    telemetry = Telemetry.create ();
+    trace =
+      Option.map (fun tr -> Trace.create ~clock:(Trace.clock tr) ()) t.trace;
+    checkpoint = None;
+    journal = Some { j_cache = []; j_quar = [] };
   }
 
-(* Replay one worker's deltas onto the parent's stores.  Adoption is
+let delta_of s =
+  let j = Option.get s.journal in
+  {
+    d_cache = List.rev j.j_cache;
+    d_quar = List.rev j.j_quar;
+    d_tel = Telemetry.snapshot s.telemetry;
+    d_trace = Option.map (fun tr -> (Trace.epoch tr, Trace.events tr)) s.trace;
+  }
+
+(* Replay one chunk's deltas onto the parent's stores.  Adoption is
    conditional on absence: a sibling worker (blind to this one's fork
    image) may have already computed the same key — the values are
-   bit-identical by the determinism argument, so first-in wins.  The
-   progress tick comes last so a [--die-after] checkpoint flush already
-   contains the merged entries. *)
-let merge_shipment t sh =
+   bit-identical by the determinism argument, so first-in wins.  Each
+   adopted entry ticks the checkpoint, as its insertion does on the
+   domains backend. *)
+let merge_delta t d =
   List.iter
-    (fun (k, s) -> if Cache.find t.cache k = None then Cache.add t.cache k s)
-    sh.sh_cache;
+    (fun (k, s) ->
+      if Cache.find t.cache k = None then begin
+        Cache.add t.cache k s;
+        checkpoint_tick t
+      end)
+    d.d_cache;
   List.iter
     (fun (k, r) ->
-      if Quarantine.find t.quarantine k = None then Quarantine.add t.quarantine k r)
-    sh.sh_quar;
-  Telemetry.absorb t.telemetry sh.sh_tel;
-  (match (t.trace, sh.sh_trace) with
+      if Quarantine.find t.quarantine k = None then begin
+        Quarantine.add t.quarantine k r;
+        checkpoint_tick t
+      end)
+    d.d_quar;
+  Telemetry.absorb t.telemetry d.d_tel;
+  match (t.trace, d.d_trace) with
   | Some tr, Some (epoch, stamps) -> Trace.inject tr ~epoch stamps
-  | _ -> ());
-  checkpoint_tick t;
-  Telemetry.tick t.telemetry
+  | _ -> ()
 
-(* -- the sharded backend's registry ------------------------------------- *)
-
-(* [Ft_shard] implements the coordinator/node topology but depends on
-   this library (Ipc, Procpool's failure taxonomy, Cache_codec), so the
-   engine cannot call it by name.  Instead the shard library installs
-   its polymorphic map here at program start ([Ft_shard.Shard.install]);
-   the field is universally quantified so one installation serves every
-   instantiation the engine needs. *)
-type node_mapper = {
-  map :
-    'a 'b.
-    nodes:int ->
-    ?on_result:(int -> ('b, Procpool.failure) Stdlib.result -> unit) ->
-    ?kill_first_node_after:int ->
-    ('a -> 'b) ->
-    'a array ->
-    ('b, Procpool.failure) Stdlib.result array;
-}
-
-let installed_node_mapper : node_mapper option ref = ref None
-let install_node_mapper m = installed_node_mapper := Some m
-
-let node_mapper () =
-  match !installed_node_mapper with
-  | Some m -> m
-  | None ->
-      failwith
-        "Engine: --backend sharded requested but no node mapper is installed \
-         (call Ft_shard.Shard.install () at startup)"
-
-(* On the sharded backend a node ships its cache news as Cache_codec
-   binary v2 frames — the cluster wire format is the cache's own commit
-   format, not Marshal — so the coordinator can absorb deltas with the
-   same decoder that reads cache files.  The codec is bit-exact on
-   floats, so transcoding preserves the determinism contract. *)
-let encode_cache_frames entries =
-  let buf = Buffer.create 256 in
-  List.iter (fun (k, s) -> Cache_codec.encode_record buf k s) entries;
-  Buffer.contents buf
-
-let decode_cache_frames frames =
-  let d =
-    Cache_codec.decode ~warn:(fun ~line:_ ~reason:_ -> ()) ~pos:0 frames
-  in
-  if d.Cache_codec.torn || d.Cache_codec.skipped > 0 then
-    failwith "Engine: torn cache-delta frames in a node shipment";
-  d.Cache_codec.entries
-
-(* Run a batch on a pool of forked workers ([pool_map] abstracts over
-   Procpool and the sharded coordinator).  Crashed jobs are re-run in
-   fresh pool rounds — never in-parent: a job that deterministically
-   kills its worker must stay isolated — up to [max_retries] times;
-   exhaustion surfaces as [Worker_crashed] and quarantines the key.  The
-   chaos hook is armed only on the first round, so the retried job's
-   re-run is never re-killed and the run converges to the uninterrupted
-   result. *)
-let pooled_outcomes t ~pool_map ~toolchain ?outline ~program ~input jobs_array
-    =
+(* Run a batch on the forked pool: [jobs] workers on the processes
+   backend, [nodes] on the sharded one.  Each chunk's jobs run on one
+   shadow engine under their batch indices; the parent merges a chunk's
+   delta before recording its outcomes and ticking progress once per
+   job.  Crashed jobs are re-run in fresh pool rounds — never in-parent:
+   a job that deterministically kills its worker must stay isolated — up
+   to [max_retries] times; exhaustion surfaces as [Worker_crashed] and
+   quarantines the key.  The chaos hook is armed only on the first
+   round, so the retried job's re-run is never re-killed and the run
+   converges to the uninterrupted result. *)
+let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
   let n = Array.length jobs_array in
   Telemetry.expect t.telemetry n;
   let batch = Trace.batch t.trace ~size:n in
   let outcomes = Array.make n None in
-  let f = worker_shipment t ~toolchain ?outline ~program ~input ~batch in
+  let workers, kill =
+    match t.backend with
+    | Backend.Sharded -> (t.nodes, t.kill_node_after)
+    | Backend.Processes | Backend.Domains -> (t.jobs, t.kill_workers_after)
+  in
   let run_round ~chaos indices =
     let idx = Array.of_list indices in
-    let items = Array.map (fun i -> (i, jobs_array.(i))) idx in
-    let on_result _slot = function
-      | Stdlib.Ok sh -> merge_shipment t sh
-      | Stdlib.Error _ -> ()
+    let session () =
+      let s = shadow t in
+      ( (fun slot ->
+          let i = idx.(slot) in
+          Trace.in_job s.trace ~batch ~index:i (fun () ->
+              try_measure_one s ~toolchain ?outline ~program ~input
+                jobs_array.(i))),
+        fun () -> delta_of s )
     in
-    let res = pool_map ~chaos ~on_result f items in
     let crashed = ref [] in
-    Array.iteri
-      (fun slot r ->
-        let i = idx.(slot) in
-        match r with
-        | Stdlib.Ok sh -> outcomes.(i) <- Some sh.sh_outcome
-        | Stdlib.Error (Procpool.Raised msg) ->
-            (* Parity with the domains backend: an exception that escaped
-               a healthy worker is a crashed run, not a crashed worker. *)
-            outcomes.(i) <- Some (Crashed msg);
-            Telemetry.tick t.telemetry
-        | Stdlib.Error (Procpool.Crashed c) ->
-            let detail = Procpool.crash_to_string c in
-            Telemetry.worker_crash t.telemetry;
-            Trace.worker_crashed t.trace ~detail;
-            crashed := (i, detail) :: !crashed)
-      res;
-    List.rev !crashed
+    let on_result slot r =
+      let i = idx.(slot) in
+      match r with
+      | Stdlib.Ok o ->
+          outcomes.(i) <- Some o;
+          Telemetry.tick t.telemetry
+      | Stdlib.Error (Procpool.Raised msg) ->
+          (* Parity with the domains backend: an exception that escaped
+             a healthy worker is a crashed run, not a crashed worker. *)
+          outcomes.(i) <- Some (Crashed msg);
+          Telemetry.tick t.telemetry
+      | Stdlib.Error (Procpool.Crashed c) ->
+          let detail = Procpool.crash_to_string c in
+          Telemetry.worker_crash t.telemetry;
+          Trace.worker_crashed t.trace ~detail;
+          crashed := (i, detail) :: !crashed
+    in
+    ignore
+      (Procpool.map_chunked ~workers ~on_delta:(merge_delta t) ~on_result
+         ?kill_first_worker_after:(if chaos then kill else None)
+         session (Array.length idx));
+    List.sort (fun (a, _) (b, _) -> compare a b) !crashed
   in
   let rec rounds attempt ~chaos indices =
     match run_round ~chaos indices with
@@ -653,48 +614,12 @@ let pooled_outcomes t ~pool_map ~toolchain ?outline ~program ~input jobs_array
   if n > 0 then rounds 0 ~chaos:true (List.init n Fun.id);
   Array.map (function Some o -> o | None -> assert false) outcomes
 
-(* The Procpool leg: workers drain one shared cursor; shipments travel
-   as plain Marshal frames. *)
-let procpool_map t ~chaos ~on_result f items =
-  let kill = if chaos then t.kill_workers_after else None in
-  Procpool.map ~workers:t.jobs ~on_result ?kill_first_worker_after:kill f
-    items
-
-(* The sharded leg: the installed coordinator pre-partitions [items]
-   into per-node shards and rebalances by stealing; each shipment's
-   cache news crosses the wire as codec v2 frames instead of Marshal,
-   transcoded here so the coordinator stays shipment-agnostic. *)
-let sharded_map t ~chaos ~on_result f items =
-  let m = node_mapper () in
-  let kill = if chaos then t.kill_node_after else None in
-  let encode item =
-    let sh = f item in
-    (encode_cache_frames sh.sh_cache, { sh with sh_cache = [] })
-  in
-  let decode (frames, sh) = { sh with sh_cache = decode_cache_frames frames } in
-  let on_result slot r = on_result slot (Stdlib.Result.map decode r) in
-  m.map ~nodes:t.nodes ~on_result ?kill_first_node_after:kill encode items
-  |> Array.map (Stdlib.Result.map decode)
-
-let process_outcomes t ~toolchain ?outline ~program ~input jobs_array =
-  pooled_outcomes t ~pool_map:(procpool_map t) ~toolchain ?outline ~program
-    ~input jobs_array
-
-let shard_outcomes t ~toolchain ?outline ~program ~input jobs_array =
-  pooled_outcomes t ~pool_map:(sharded_map t) ~toolchain ?outline ~program
-    ~input jobs_array
-
 (* -- batch entry points ------------------------------------------------- *)
 
 let measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   match t.backend with
-  | Backend.Processes ->
-      process_outcomes t ~toolchain ?outline ~program ~input jobs_array
-      |> Array.map (function
-           | Ok m -> m
-           | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
-  | Backend.Sharded ->
-      shard_outcomes t ~toolchain ?outline ~program ~input jobs_array
+  | Backend.Processes | Backend.Sharded ->
+      forked_outcomes t ~toolchain ?outline ~program ~input jobs_array
       |> Array.map (function
            | Ok m -> m
            | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
@@ -717,10 +642,8 @@ let measure_list t ~toolchain ?outline ~program ~input jobs =
 
 let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   match t.backend with
-  | Backend.Processes ->
-      process_outcomes t ~toolchain ?outline ~program ~input jobs_array
-  | Backend.Sharded ->
-      shard_outcomes t ~toolchain ?outline ~program ~input jobs_array
+  | Backend.Processes | Backend.Sharded ->
+      forked_outcomes t ~toolchain ?outline ~program ~input jobs_array
   | Backend.Domains ->
       Telemetry.expect t.telemetry (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in

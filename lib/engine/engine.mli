@@ -74,7 +74,7 @@ type job_outcome =
   | Wrong_answer  (** ran, but output validation failed (miscompile) *)
   | Timed_out of float  (** killed at this simulated elapsed seconds *)
   | Worker_crashed of string
-      (** processes backend only: the {e worker process} evaluating this
+      (** forked backends only: the {e worker process} evaluating this
           job died (signal, nonzero exit, torn IPC frame) on every
           attempt the retry budget allowed; payload is the last crash
           detail.  Quarantined as [Crashed ("worker: " ^ detail)]. *)
@@ -110,26 +110,28 @@ val create :
   unit ->
   t
 (** [jobs] defaults to 1 (sequential).  [backend] (default
-    {!Backend.Domains}) selects the execution substrate for batches:
-    {!Backend.Processes} runs each batch on a {!Procpool} of forked
-    workers, whose crashes surface as typed [Worker_crashed] outcomes
-    instead of taking the search down; {!Backend.Sharded} runs it on the
-    installed coordinator/node topology ({!install_node_mapper},
-    normally [Ft_shard.Shard.install]) across [nodes] (default 1) forked
-    node processes, with work stealing and codec-framed cache deltas.
-    [kill_workers_after] arms the deterministic chaos hook (processes
-    backend only): on each batch's {e first} round, the first worker
-    SIGKILLs itself after completing that many jobs — the crash path's
-    test harness.  [kill_node_after] is the same hook for the sharded
-    backend's designated first node.  A fresh cache, telemetry and
-    quarantine are allocated unless shared ones are passed (e.g. one
-    cache for a whole experiment lab, or a quarantine reloaded from a
-    checkpoint).  When a [checkpoint] is attached, cache and quarantine
-    snapshots are refreshed as state accumulates and on
-    {!flush_checkpoint}.  When a [trace] is attached, every cache lookup,
-    build, run, fault, retry, quarantine decision and job completion is
-    recorded as a typed {!Ft_obs.Event} — with no trace, not a single
-    extra instruction runs on the job path.
+    {!Backend.Domains}) selects the execution substrate for batches.
+    Both forked backends run a batch on the one {!Procpool} of forked
+    workers — {!Backend.Processes} with [jobs] workers,
+    {!Backend.Sharded} with [nodes] (default 1) — whose crashes surface
+    as typed [Worker_crashed] outcomes instead of taking the search
+    down.  Workers are fed contiguous chunks of the batch; each chunk
+    runs on one shadow engine and ships home one delta (cache and
+    quarantine news, a telemetry snapshot, trace stamps), which the
+    parent merges before recording the chunk's outcomes.
+    [kill_workers_after] arms the deterministic chaos hook on the
+    processes backend: on each batch's {e first} round, the first worker
+    SIGKILLs itself at its [(k+1)]-th job — the crash path's test
+    harness.  [kill_node_after] is the same hook for the sharded
+    backend.  A fresh cache, telemetry and quarantine are allocated
+    unless shared ones are passed (e.g. one cache for a whole experiment
+    lab, or a quarantine reloaded from a checkpoint).  When a
+    [checkpoint] is attached, cache and quarantine snapshots are
+    refreshed as state accumulates and on {!flush_checkpoint}.  When a
+    [trace] is attached, every cache lookup, build, run, fault, retry,
+    quarantine decision and job completion is recorded as a typed
+    {!Ft_obs.Event} — with no trace, not a single extra instruction runs
+    on the job path.
     @raise Invalid_argument if [jobs < 1], [nodes < 1],
     [policy.repeats < 1], [policy.max_retries < 0],
     [policy.timeout_s <= 0], [kill_workers_after < 0] or
@@ -139,7 +141,7 @@ val jobs : t -> int
 val backend : t -> Backend.t
 
 val nodes : t -> int
-(** Node count for the sharded backend (1 unless set; ignored by the
+(** Worker count for the sharded backend (1 unless set; ignored by the
     other backends, as [jobs] is by the sharded one). *)
 
 val cache : t -> Cache.t
@@ -231,8 +233,8 @@ val measure_batch :
 (** Measure a batch on the pool, fail-fast: the first [Job_failed]
     aborts the batch (wrapped in {!Pool.Worker_failure}).  Results are in
     submission order and bit-identical for any [jobs] setting {e and
-    either backend} (see the determinism argument above).  Progress ticks
-    fire per completed job.  On the processes backend the whole batch
+    any backend} (see the determinism argument above).  Progress ticks
+    fire per completed job.  On the forked backends the whole batch
     runs before the first failure (in submission order) is raised —
     isolation makes aborting siblings pointless. *)
 
@@ -247,8 +249,8 @@ val try_measure_batch :
 (** Partial-results batch: every job yields its own {!job_outcome} in
     submission order; injected faults (and even unexpected worker
     exceptions, recorded as [Crashed]) never poison sibling jobs.  On the
-    processes backend a {e dying worker} doesn't either: its in-flight
-    job is re-run on a fresh worker up to [policy.max_retries] times
+    forked backends a {e dying worker} doesn't either: the job it was
+    running is re-run on a fresh worker up to [policy.max_retries] times
     (bit-identically, by determinism), then surfaces as
     [Worker_crashed]. *)
 
@@ -271,31 +273,3 @@ val try_measure_list :
   job list ->
   job_outcome list
 (** List version of {!try_measure_batch}. *)
-
-(** {2 Sharded-backend registry}
-
-    [Ft_shard] (the coordinator/node library) depends on this one, so
-    the engine reaches it through an installed callback rather than by
-    name.  The record field is universally quantified: one installation
-    serves every item/result type the engine instantiates it at. *)
-
-type node_mapper = {
-  map :
-    'a 'b.
-    nodes:int ->
-    ?on_result:(int -> ('b, Procpool.failure) Stdlib.result -> unit) ->
-    ?kill_first_node_after:int ->
-    ('a -> 'b) ->
-    'a array ->
-    ('b, Procpool.failure) Stdlib.result array;
-}
-(** The contract {!Backend.Sharded} batches run through — same shape and
-    failure taxonomy as {!Procpool.map}, with [nodes] forked node
-    processes in place of cursor-fed workers and [kill_first_node_after]
-    arming the designated node's self-SIGKILL chaos hook. *)
-
-val install_node_mapper : node_mapper -> unit
-(** Install (or replace) the sharded backend's mapper.  Called once at
-    startup by [Ft_shard.Shard.install]; a {!Backend.Sharded} batch
-    without an installation fails with a [Failure] naming the missing
-    call. *)

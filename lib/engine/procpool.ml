@@ -1,20 +1,21 @@
-(* A fixed-size pool of forked worker processes.
+(* A fixed-size pool of forked worker processes fed contiguous chunks.
 
-   [map] forks up to [workers] children *after* the job array and the
-   closure exist, so both are inherited through fork-time memory and only
-   plain data ever crosses a pipe: the parent feeds job indices
-   (length-prefixed Marshal frames, {!Ipc}) and each worker replies with
-   [(index, payload)] frames.  Workers are fed one job at a time from a
-   shared cursor, so scheduling is dynamic exactly like the domain
-   {!Pool}'s queue.
+   [map_chunked] forks up to [workers] children *after* the closure
+   exists, so it is inherited through fork-time memory and only plain
+   data ever crosses a pipe ({!Ipc} frames).  Workers take contiguous
+   chunks of slots from one shared cursor; each holds two chunks in
+   flight, so it never waits for the parent, and answers each chunk with
+   one frame: the per-slot values plus the chunk's delta.
 
-   Crash isolation is the point: a worker that dies — killed by a
-   signal, a nonzero exit, or a torn reply frame — loses only its
-   in-flight job, which is surfaced as [Error (Crashed _)] in that job's
-   slot.  The pool refills itself (bounded respawns) and every other job
-   proceeds.  The pool never retries a crashed job itself: retry policy
-   belongs to the engine, which re-runs deterministic jobs and gets
-   bit-identical values. *)
+   Crash isolation is the point.  Before each job a worker writes the
+   job's slot to its progress pipe, which the parent drains on every
+   reply and reads to EOF when the worker dies.  A dead worker — killed
+   by a signal, a nonzero exit, or a torn reply frame — costs exactly
+   one slot, the one it was running, surfaced as [Error (Crashed _)];
+   every other slot it held goes back to the cursor.  The pool refills
+   itself (bounded respawns) and never retries a crashed slot itself:
+   retry policy belongs to the engine, which re-runs deterministic jobs
+   and gets bit-identical values. *)
 
 type crash = { pid : int; detail : string }
 
@@ -28,18 +29,32 @@ let failure_to_string = function
   | Raised msg -> "raised " ^ msg
   | Crashed c -> crash_to_string c
 
-(* The one frame type of the parent->worker direction; worker->parent
-   frames are [(index, ('b, string) result)].  A [kill] job instructs the
-   worker to SIGKILL itself *before* running the job: the deterministic
-   chaos hook behind [--kill-workers-after]. *)
-type request = { index : int; kill : bool }
+(* Chunk sizing: remaining ÷ (divisor · workers), clamped to [1, cap].
+   The shrinking tail keeps workers balanced at a batch's end. *)
+let chunk_cap = 64
+let chunk_divisor = 4
+let chunks_in_flight = 2
+
+(* Parent->worker frame: run slots [lo, hi).  [kill_at] is the slot at
+   which the chaos designee SIGKILLs itself, after writing that slot's
+   progress marker ([-1]: none) — the hook behind [--kill-workers-after]. *)
+type request = { lo : int; hi : int; kill_at : int }
+
+(* Worker->parent frame, one per chunk. *)
+type ('b, 'd) reply = {
+  r_lo : int;
+  values : ('b, string) result array;
+  delta : 'd;
+}
 
 type worker = {
   pid : int;
   job_w : Unix.file_descr;
   job_writer : Ipc.Writer.t;  (* scratch-buffer reuse across feeds *)
   res_r : Unix.file_descr;
-  mutable inflight : int option;
+  prog_r : Unix.file_descr;  (* progress markers; nonblocking *)
+  mutable chunks : (int * int) list;  (* fed, unanswered; oldest first *)
+  mutable started : int;  (* last marker read, -1 before the first *)
   mutable fed : int;
   mutable alive : bool;
   chaos_designee : bool;
@@ -62,55 +77,84 @@ let reap pid =
   | _, Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
   | exception Unix.Unix_error _ -> "already reaped"
 
-(* The child side: read index frames until EOF (the parent closed our
-   pipe: clean retirement), run the inherited closure, reply.  Exit is
-   always [Unix._exit], never [Stdlib.exit]: the child inherited the
-   parent's channel buffers at fork and must not flush them a second
-   time — stdout byte-identity across backends depends on it. *)
-let worker_loop f a job_r res_w =
-  (* One reply frame per job: marshal them all through one reusable
-     scratch buffer instead of allocating per reply. *)
+(* Markers are 4-byte slots.  A pipe write of at most PIPE_BUF bytes is
+   atomic, so a read into a buffer of whole markers returns whole
+   markers, and only the last one matters. *)
+let marker_bytes = 4
+
+let drain buf w =
+  let rec go () =
+    match Unix.read w.prog_r buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | got ->
+        let last = (got / marker_bytes * marker_bytes) - marker_bytes in
+        if last >= 0 then
+          w.started <- Int32.to_int (Bytes.get_int32_be buf last);
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+(* The child side: read chunk frames until EOF (the parent closed our
+   pipe: clean retirement), run each slot under one [session], reply.
+   Exit is always [Unix._exit], never [Stdlib.exit] or a return into the
+   parent's code: the child inherited the parent's channel buffers at
+   fork and must not flush them a second time — stdout byte-identity
+   across backends depends on it. *)
+let worker_loop session job_r res_w prog_w =
   let res = Ipc.Writer.create res_w in
+  let marker = Bytes.create marker_bytes in
   let rec loop () =
     match Ipc.read job_r with
     | Error `Eof -> Unix._exit 0
     | Error (`Torn _) -> Unix._exit 3
-    | Ok { index; kill } ->
-        if kill then Unix.kill (Unix.getpid ()) Sys.sigkill;
-        let payload =
-          match f a.(index) with
-          | v -> Stdlib.Ok v
-          | exception e -> Stdlib.Error (Printexc.to_string e)
+    | Ok { lo; hi; kill_at } ->
+        let job, close = session () in
+        let values =
+          Array.init (hi - lo) (fun j ->
+              let slot = lo + j in
+              Bytes.set_int32_be marker 0 (Int32.of_int slot);
+              ignore (Unix.write prog_w marker 0 marker_bytes);
+              if slot = kill_at then Unix.kill (Unix.getpid ()) Sys.sigkill;
+              match job slot with
+              | v -> Stdlib.Ok v
+              | exception e -> Stdlib.Error (Printexc.to_string e))
         in
-        (match Ipc.Writer.write res (index, payload) with
+        let reply = { r_lo = lo; values; delta = close () } in
+        (match Ipc.Writer.write res reply with
         | () -> ()
         | exception _ -> Unix._exit 2);
         loop ()
   in
-  loop ()
+  try loop () with _ -> Unix._exit 4
 
-let map ~workers ?on_result ?kill_first_worker_after f a =
+let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
+    session n =
   if workers < 1 then invalid_arg "Procpool.map: workers must be >= 1";
-  let n = Array.length a in
   let results = Array.make n None in
   if n = 0 then [||]
   else begin
     let worker_count = min workers n in
-    (* A worker dying between jobs raises EPIPE on the next feed; that
+    let drain = drain (Bytes.create (1024 * marker_bytes)) in
+    (* A worker dying between chunks raises EPIPE on the next feed; that
        must reach our crash handling, not kill the parent. *)
     let old_sigpipe =
       try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
       with Invalid_argument _ -> None
     in
     let live = ref [] in
+    (* The cursor: unassigned slot ranges, fed head first.  Slots a dead
+       worker held but never answered are pushed back on the front. *)
+    let pending = ref [ (0, n) ] in
+    let unassigned = ref n in
     let chaos_fired = ref false in
-    let next = ref 0 in
     let completed = ref 0 in
     let respawns = ref 0 in
-    (* Every respawn is paid for by a crash, and every crash consumes its
-       in-flight job, so respawns are naturally bounded by [n]; the
-       explicit budget only guards the no-in-flight corner (a worker
-       dying before its first job was ever fed). *)
+    (* Every respawn is paid for by a crash, and every crash consumes one
+       slot, so respawns are naturally bounded by [n]; the explicit budget
+       only guards the no-chunk corner (a worker dying before its first
+       feed). *)
     let respawn_budget = (2 * worker_count) + n in
     let finish i r =
       results.(i) <- Some r;
@@ -120,29 +164,36 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
     let spawn ~chaos_designee () =
       let job_r, job_w = Unix.pipe () in
       let res_r, res_w = Unix.pipe () in
+      let prog_r, prog_w = Unix.pipe () in
       flush stdout;
       flush stderr;
       match Unix.fork () with
       | 0 ->
-          close_noerr job_w;
-          close_noerr res_r;
+          List.iter close_noerr [ job_w; res_r; prog_r ];
           (* Siblings' parent-side fds were inherited too; holding their
              write ends open would mask a sibling's EOF from the parent. *)
           List.iter
-            (fun w ->
-              close_noerr w.job_w;
-              close_noerr w.res_r)
+            (fun w -> List.iter close_noerr [ w.job_w; w.res_r; w.prog_r ])
             !live;
-          worker_loop f a job_r res_w
+          worker_loop session job_r res_w prog_w
       | pid ->
-          close_noerr job_r;
-          close_noerr res_w;
+          List.iter close_noerr [ job_r; res_w; prog_w ];
+          Unix.set_nonblock prog_r;
           let w =
-            { pid; job_w; job_writer = Ipc.Writer.create job_w; res_r;
-              inflight = None; fed = 0; alive = true; chaos_designee }
+            { pid; job_w; job_writer = Ipc.Writer.create job_w; res_r; prog_r;
+              chunks = []; started = -1; fed = 0; alive = true;
+              chaos_designee }
           in
           live := w :: !live
     in
+    let give_back ranges =
+      let ranges = List.filter (fun (lo, hi) -> lo < hi) ranges in
+      List.iter (fun (lo, hi) -> unassigned := !unassigned + hi - lo) ranges;
+      pending := ranges @ !pending
+    in
+    (* The worker's last marker names the slot it was running.  If it
+       lies outside the oldest unanswered chunk, no job of that chunk
+       started, and its first slot is the casualty. *)
     let mark_dead w ~torn =
       w.alive <- false;
       live := List.filter (fun x -> x != w) !live;
@@ -152,21 +203,25 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
          is somehow still running: put it down before reaping. *)
       if torn <> None then (try Unix.kill w.pid Sys.sigkill with _ -> ());
       let status = reap w.pid in
+      drain w;
+      close_noerr w.prog_r;
       let detail =
         match torn with Some d -> d ^ "; " ^ status | None -> status
       in
-      match w.inflight with
-      | Some i ->
-          w.inflight <- None;
-          finish i (Stdlib.Error (Crashed { pid = w.pid; detail }))
-      | None -> ()
+      match w.chunks with
+      | [] -> ()
+      | (lo, hi) :: later ->
+          let c = if lo <= w.started && w.started < hi then w.started else lo in
+          w.chunks <- [];
+          give_back ((lo, c) :: (c + 1, hi) :: later);
+          finish c (Stdlib.Error (Crashed { pid = w.pid; detail }))
     in
     (* While the chaos hook is armed but unfired, non-designees may not
-       take the last jobs: the designee needs [k] completions plus one
-       more feed for the kill to fire, and under an unlucky scheduler a
-       starved designee could otherwise watch its siblings drain the
-       whole array — leaving an armed kill that silently never happens
-       (and crash-count tests that flake with machine load). *)
+       take the last slots: the designee needs [k] jobs plus one more for
+       the kill to fire, and under an unlucky scheduler a starved
+       designee could otherwise watch its siblings drain the whole array
+       — leaving an armed kill that silently never happens (and
+       crash-count tests that flake with machine load). *)
     let reserved_for_designee w =
       match kill_first_worker_after with
       | Some k when (not !chaos_fired) && not w.chaos_designee -> (
@@ -177,36 +232,62 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
           | None -> 0)
       | _ -> 0
     in
-    let feed w =
-      if
-        w.alive && w.inflight = None
-        && n - !next > reserved_for_designee w
-      then begin
-        let i = !next in
-        incr next;
-        let kill =
-          match kill_first_worker_after with
-          | Some k when w.chaos_designee && (not !chaos_fired) && w.fed >= k ->
-              chaos_fired := true;
-              true
-          | _ -> false
-        in
-        w.fed <- w.fed + 1;
-        w.inflight <- Some i;
-        match Ipc.Writer.write w.job_writer { index = i; kill } with
-        | () -> ()
-        | exception _ ->
-            (* Dead before it could read: we cannot know how much of the
-               frame it consumed, so the job counts as crashed; the
-               engine's retry heals it deterministically. *)
-            mark_dead w ~torn:None
-      end
+    let take w =
+      let avail = !unassigned - reserved_for_designee w in
+      match !pending with
+      | (lo, hi) :: rest when avail > 0 ->
+          let size =
+            !unassigned / (chunk_divisor * worker_count)
+            |> min chunk_cap |> max 1 |> min avail |> min (hi - lo)
+          in
+          pending := if lo + size < hi then (lo + size, hi) :: rest else rest;
+          unassigned := !unassigned - size;
+          Some (lo, lo + size)
+      | _ -> None
+    in
+    let rec feed w =
+      if w.alive && List.length w.chunks < chunks_in_flight then
+        match take w with
+        | None -> ()
+        | Some (lo, hi) -> (
+            let kill_at =
+              match kill_first_worker_after with
+              | Some k
+                when w.chaos_designee && (not !chaos_fired)
+                     && k < w.fed + (hi - lo) ->
+                  chaos_fired := true;
+                  lo + (k - w.fed)
+              | _ -> -1
+            in
+            w.fed <- w.fed + (hi - lo);
+            w.chunks <- w.chunks @ [ (lo, hi) ];
+            match Ipc.Writer.write w.job_writer { lo; hi; kill_at } with
+            | () -> feed w
+            | exception _ ->
+                (* Dead before it could read: its marker says how far it
+                   got, and the crash path attributes the loss. *)
+                mark_dead w ~torn:None)
+    in
+    let answer w { r_lo; values; delta } =
+      drain w;
+      match w.chunks with
+      | (lo, hi) :: later when lo = r_lo && hi - lo = Array.length values ->
+          w.chunks <- later;
+          feed w;
+          (match on_delta with Some f -> f delta | None -> ());
+          Array.iteri
+            (fun j v ->
+              finish (lo + j)
+                (match v with
+                | Stdlib.Ok v -> Stdlib.Ok v
+                | Stdlib.Error msg -> Stdlib.Error (Raised msg)))
+            values
+      | _ -> mark_dead w ~torn:(Some "reply for a chunk never fed")
     in
     let cleanup () =
       List.iter
         (fun w ->
-          close_noerr w.job_w;
-          close_noerr w.res_r;
+          List.iter close_noerr [ w.job_w; w.res_r; w.prog_r ];
           (try Unix.kill w.pid Sys.sigkill with _ -> ());
           ignore (reap w.pid))
         !live;
@@ -223,27 +304,26 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
       (* Keep the pool at its fixed size while unassigned work remains. *)
       while
         List.length !live < worker_count
-        && !next < n
+        && !unassigned > 0
         && !respawns < respawn_budget
       do
         incr respawns;
         spawn ~chaos_designee:false ()
       done;
-      List.iter feed (List.filter (fun w -> w.inflight = None) !live);
-      let watched = List.filter (fun w -> w.inflight <> None) !live in
+      List.iter feed !live;
+      let watched = List.filter (fun w -> w.chunks <> []) !live in
       if watched = [] then begin
-        (* The pool is gone and cannot be refilled; every remaining job
+        (* The pool is gone and cannot be refilled; every remaining slot
            is unfed.  Fail them rather than spin. *)
-        for i = !next to n - 1 do
-          finish i
-            (Stdlib.Error
-               (Crashed
-                  {
-                    pid = 0;
-                    detail = "no live workers (respawn budget exhausted)";
-                  }))
-        done;
-        next := n;
+        let detail = "no live workers (respawn budget exhausted)" in
+        List.iter
+          (fun (lo, hi) ->
+            for i = lo to hi - 1 do
+              finish i (Stdlib.Error (Crashed { pid = 0; detail }))
+            done)
+          !pending;
+        pending := [];
+        unassigned := 0;
         assert (!completed = n)
       end
       else begin
@@ -258,12 +338,7 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
             match List.find_opt (fun w -> w.res_r = fd) watched with
             | Some w when w.alive -> (
                 match Ipc.read fd with
-                | Ok (i, payload) ->
-                    w.inflight <- None;
-                    finish i
-                      (match payload with
-                      | Stdlib.Ok v -> Stdlib.Ok v
-                      | Stdlib.Error msg -> Stdlib.Error (Raised msg))
+                | Ok reply -> answer w reply
                 | Error `Eof -> mark_dead w ~torn:None
                 | Error (`Torn d) -> mark_dead w ~torn:(Some d))
             | _ -> ())
@@ -272,3 +347,8 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
     done;
     Array.map (function Some r -> r | None -> assert false) results
   end
+
+let map ~workers ?on_result ?kill_first_worker_after f a =
+  map_chunked ~workers ?on_result ?kill_first_worker_after
+    (fun () -> ((fun i -> f a.(i)), ignore))
+    (Array.length a)

@@ -74,8 +74,8 @@ val write_value : Unix.file_descr -> 'a -> unit
 
     {!write_value} above allocates a fresh [Marshal] byte string and a
     header per frame; on the process pool's hot reply path (one frame
-    per job, each carrying summaries, journal deltas, trace batches)
-    that churn is measurable.  A [Writer] marshals directly into one
+    per chunk of jobs, each carrying summaries, journal deltas, trace
+    batches) that churn is measurable.  A [Writer] marshals directly into one
     owned buffer — header and payload contiguous, grown geometrically
     and then reused forever — and emits the frame with a single
     [write].  Not thread-safe: one writer per producing thread/process

@@ -124,10 +124,13 @@ let epoch t = t.t0
    onto ours (logical stamps are 0 on both sides). *)
 let inject t ~epoch:e0 stamps =
   let dt = match t.clock with Wall -> e0 -. t.t0 | Logical -> 0.0 in
-  List.iter
-    (fun st ->
-      record_stamped t (if dt = 0.0 then st else { st with ts = st.ts +. dt }))
-    stamps
+  let stamps =
+    if dt = 0.0 then stamps
+    else List.map (fun st -> { st with ts = st.ts +. dt }) stamps
+  in
+  let shard = t.shards.((Domain.self () :> int) land (shard_count - 1)) in
+  Mutex.protect shard.lock (fun () ->
+      shard.events <- List.rev_append stamps shard.events)
 
 let events t =
   flush_local t;

@@ -1,26 +1,9 @@
-(** Coordinator/worker sharded evaluation with work stealing — the
-    [--backend sharded] substrate.
+(** Aliases kept for callers of the sharded backend's old entry points.
 
-    {!map} pre-partitions the job array into contiguous shards across
-    [nodes] forked node processes (node [k] of [N] owns
-    [[k*n/N, (k+1)*n/N)]); each node drains its own shard, and a node
-    that runs dry steals the tail half of the largest remaining backlog
-    — orphaned work of dead nodes first — so straggler shards rebalance
-    instead of serializing the round.
-
-    Everything else is deliberately {!Ft_engine.Procpool}'s contract:
-    nodes fork {e after} the closure and array exist (only plain
-    {!Ft_engine.Ipc} frames cross the pipes), a dying node surfaces its
-    in-flight job as [Error (Crashed _)] and is replaced under a
-    bounded respawn budget, its unfed shard migrates intact to the
-    orphan pool, and [kill_first_node_after:k] arms node 0 to SIGKILL
-    itself on its [(k+1)]-th feed — the deterministic chaos hook behind
-    [--kill-node-after].  Results land by submission index, so
-    job-to-node placement (including stealing) is unobservable in the
-    output: the engine's determinism contract holds at any node count.
-
-    Like {!Ft_engine.Procpool}, [map] forks — so a process that has ever
-    spawned a domain must not call it. *)
+    [--backend sharded --nodes N] runs the one forked pool,
+    {!Ft_engine.Procpool}, with [N] workers.  Both names below remain
+    only because the benchmark harness calls them; both are owed for
+    deletion in the next change to the benchmark. *)
 
 val map :
   nodes:int ->
@@ -29,13 +12,9 @@ val map :
   ('a -> 'b) ->
   'a array ->
   ('b, Ft_engine.Procpool.failure) result array
-(** [map ~nodes f a] runs [f] over [a] on up to [nodes] forked node
-    processes (never more than [Array.length a]) and returns per-index
-    results in submission order.  [on_result] fires in the coordinator
-    once per index as each reply (or crash) arrives.
+(** [Procpool.map ~workers:nodes], with [kill_first_node_after] as its
+    [kill_first_worker_after].
     @raise Invalid_argument if [nodes < 1]. *)
 
 val install : unit -> unit
-(** Register {!map} as {!Ft_engine.Engine}'s node mapper, enabling
-    [--backend sharded].  Call once at program start (the indirection
-    exists so [ft_engine] does not depend on this library). *)
+(** A no-op. *)

@@ -1,12 +1,11 @@
 (* Tests for the process-isolated evaluation backends (DESIGN.md
-   sections 11 and 17): the Procpool crash taxonomy, the sharded
-   coordinator/worker pool and its work stealing, the differential
+   section 11): the Procpool crash taxonomy and its exact crash
+   attribution, the Shard aliases over the same pool, the differential
    property that the processes AND sharded backends are byte-identical
    to the domains backend — results and logical traces, at any --jobs or
-   --nodes, even while workers or whole nodes are being SIGKILLed
-   mid-batch — and QCheck crash-injection properties for the
-   Atomic_file/Cache persistence layer the multi-process modes rest
-   on. *)
+   --nodes, even while workers are being SIGKILLed mid-batch — and
+   QCheck crash-injection properties for the Atomic_file/Cache
+   persistence layer the multi-process modes rest on. *)
 
 open Ft_prog
 module Backend = Ft_engine.Backend
@@ -106,41 +105,45 @@ let test_procpool_on_result_once_per_index () =
     indices;
   Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
 
+(* The chaos hook: the first worker SIGKILLs itself after completing k
+   jobs — k = 2 on 30 items fires inside its first chunk, k = 70 on 400
+   items past it.  Its in-flight job must surface as Crashed (with the
+   signal named), every other job must still complete on the respawned
+   or surviving workers. *)
+let check_kill_surfaces_as_crash map_killing =
+  List.iter
+    (fun (k, n) ->
+      let results = map_killing ~k (fun i -> i * 3) (Array.init n Fun.id) in
+      let crashed = ref 0 in
+      Array.iteri
+        (fun i -> function
+          | Stdlib.Ok v -> Alcotest.(check int) "survivor correct" (i * 3) v
+          | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
+              incr crashed;
+              Alcotest.(check bool) "signal named in detail" true
+                (Test_helpers.contains detail "SIGKILL")
+          | Stdlib.Error (Procpool.Raised msg) ->
+              Alcotest.fail ("kill surfaced as Raised: " ^ msg))
+        results;
+      Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed)
+    [ (2, 30); (70, 400) ]
+
 let test_procpool_kill_surfaces_as_crash () =
-  (* The chaos hook: the first worker SIGKILLs itself after completing
-     two jobs.  Its in-flight job must surface as Crashed (with the
-     signal named), every other job must still complete on the respawned
-     or surviving workers. *)
-  let results =
-    Procpool.map ~workers:2 ~kill_first_worker_after:2
-      (fun i -> i * 3)
-      (Array.init 30 (fun i -> i))
-  in
-  let crashed = ref 0 in
-  Array.iteri
-    (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "survivor correct" (i * 3) v
-      | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
-          incr crashed;
-          Alcotest.(check bool) "signal named in detail" true
-            (Test_helpers.contains detail "SIGKILL")
-      | Stdlib.Error (Procpool.Raised msg) ->
-          Alcotest.fail ("kill surfaced as Raised: " ^ msg))
-    results;
-  Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed
+  check_kill_surfaces_as_crash (fun ~k f a ->
+      Procpool.map ~workers:2 ~kill_first_worker_after:k f a)
 
 let test_procpool_rejects_bad_workers () =
   match Procpool.map ~workers:0 (fun i -> i) [| 1 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "workers=0 accepted"
 
-(* --- Shard: the coordinator/worker pool with work stealing ------------- *)
+(* --- Shard: the sharded aliases over the same pool ---------------------- *)
 
 let test_shard_map_in_order () =
-  (* Skewed per-item work concentrated in one contiguous shard, so the
-     initial partition is maximally unbalanced and completion order
-     depends on stealing: results must still land by submission index,
-     at any node count. *)
+  (* Skewed per-item work concentrated in the first quarter, so the
+     early chunks are slow and completion order depends on how the
+     shrinking tail rebalances: results must still land by submission
+     index, at any node count. *)
   let items = Array.init 100 (fun i -> i) in
   let work i =
     let spins = if i < 25 then 20000 else 100 in
@@ -193,32 +196,13 @@ let test_shard_on_result_once_per_index () =
   Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
 
 let test_shard_kill_surfaces_as_crash () =
-  (* The chaos hook: node 0 SIGKILLs itself after completing two jobs.
-     Exactly its in-flight job is lost (as Crashed, with the signal
-     named); its queued shard and every other job complete on the
-     survivors or the respawn. *)
-  let results =
-    Shard.map ~nodes:2 ~kill_first_node_after:2
-      (fun i -> i * 3)
-      (Array.init 30 (fun i -> i))
-  in
-  let crashed = ref 0 in
-  Array.iteri
-    (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "survivor correct" (i * 3) v
-      | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
-          incr crashed;
-          Alcotest.(check bool) "signal named in detail" true
-            (Test_helpers.contains detail "SIGKILL")
-      | Stdlib.Error (Procpool.Raised msg) ->
-          Alcotest.fail ("kill surfaced as Raised: " ^ msg))
-    results;
-  Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed
+  check_kill_surfaces_as_crash (fun ~k f a ->
+      Shard.map ~nodes:2 ~kill_first_node_after:k f a)
 
 let test_shard_orphaned_shard_migrates () =
-  (* Kill node 0 before it completes anything: its whole shard (minus
-     the one in-flight casualty) must migrate through the orphan pool
-     and still complete — no queued job is ever lost with a node. *)
+  (* Kill the first node before it completes anything: both of its
+     chunks, minus the one casualty, must return to the cursor and still
+     complete — no queued job is ever lost with a node. *)
   let results =
     Shard.map ~nodes:3 ~kill_first_node_after:0
       (fun i -> i + 100)
@@ -232,6 +216,46 @@ let test_shard_orphaned_shard_migrates () =
     results;
   Alcotest.(check int) "only the in-flight job is a casualty" 1 !crashed
 
+let test_crash_attribution_exact () =
+  (* A closure that SIGKILLs its own worker at one index — first, inside
+     an early chunk, mid-array, last — must cost exactly that index:
+     whatever the chunking, the job the worker was running is the
+     casualty and every other index completes with its value. *)
+  let maps =
+    [
+      ("procpool", fun ~workers f a -> Procpool.map ~workers f a);
+      ("shard", fun ~workers f a -> Shard.map ~nodes:workers f a);
+    ]
+  in
+  List.iter
+    (fun (name, map) ->
+      List.iter
+        (fun victim ->
+          List.iter
+            (fun workers ->
+              let work i =
+                if i = victim then Unix.kill (Unix.getpid ()) Sys.sigkill;
+                i * 7
+              in
+              let results = map ~workers work (Array.init 200 Fun.id) in
+              Array.iteri
+                (fun i r ->
+                  let tag =
+                    Printf.sprintf "%s workers=%d victim=%d index %d" name
+                      workers victim i
+                  in
+                  match r with
+                  | Stdlib.Ok v when i <> victim ->
+                      Alcotest.(check int) tag (i * 7) v
+                  | Stdlib.Error (Procpool.Crashed _) when i = victim -> ()
+                  | Stdlib.Ok _ -> Alcotest.fail (tag ^ ": victim survived")
+                  | Stdlib.Error f ->
+                      Alcotest.fail (tag ^ ": " ^ Procpool.failure_to_string f))
+                results)
+            [ 1; 2; 3 ])
+        [ 0; 37; 130; 199 ])
+    maps
+
 let test_shard_rejects_bad_nodes () =
   match Shard.map ~nodes:0 (fun i -> i) [| 1 |] with
   | exception Invalid_argument _ -> ()
@@ -243,8 +267,8 @@ let test_shard_rejects_bad_nodes () =
    trace attached: returns the algorithm's result and the trace bytes.
    The engine is created explicitly so the trace and telemetry are ours
    to inspect. *)
-let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ~backend ~jobs
-    algo =
+let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ?policy
+    ?(pool_size = 24) ~backend ~jobs algo =
   let trace = Trace.create ~clock:Trace.Logical () in
   let checkpoint =
     Option.map
@@ -255,10 +279,10 @@ let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ~backend ~jobs
      and ignores the other, so one matrix covers both. *)
   let engine =
     Engine.create ~jobs ~nodes:jobs ~backend ?kill_workers_after
-      ?kill_node_after ?checkpoint ~trace ()
+      ?kill_node_after ?checkpoint ?policy ~trace ()
   in
   let session =
-    Tuner.make_session ~pool_size:24 ~engine ~platform ~program:swim
+    Tuner.make_session ~pool_size ~engine ~platform ~program:swim
       ~input ~seed:42 ()
   in
   let result =
@@ -326,9 +350,9 @@ let test_differential_survives_worker_kills () =
     (s.Telemetry.worker_crashes > 0)
 
 let test_differential_survives_node_kills () =
-  (* The sharded acceptance property end-to-end: SIGKILL node 0 on the
-     first round of every batch — losing a whole pre-partitioned shard
-     to the orphan pool each time — and the tune must still be
+  (* The sharded acceptance property end-to-end: SIGKILL the first node
+     on the first round of every batch — returning its unanswered chunks
+     to the cursor each time — and the tune must still be
      byte-identical, result and logical trace, to an uninterrupted
      domains -j1 run. *)
   let base_result, base_bytes, _ =
@@ -344,6 +368,40 @@ let test_differential_survives_node_kills () =
   let s = Telemetry.snapshot (Engine.telemetry engine) in
   Alcotest.(check bool) "the node kills actually happened" true
     (s.Telemetry.worker_crashes > 0)
+
+let test_faulted_differential_full_chunks () =
+  (* The differentials above run at pool size 24, where chunks hold at
+     most 3 jobs and carry no faults.  At K = 600 on 2 workers chunks
+     reach the cap of 64, so quarantine news, retries and outliers ride
+     in one chunk delta: result, logical trace and quarantine bindings
+     must still equal domains -j1. *)
+  let policy =
+    {
+      Engine.default_policy with
+      Engine.faults = Some (Ft_fault.Fault.make ~seed:7 ~rate:0.3 ());
+      repeats = 3;
+    }
+  in
+  let run backend jobs = run_algo ~policy ~pool_size:600 ~backend ~jobs `Cfr in
+  let base_result, base_bytes, base_engine = run Backend.Domains 1 in
+  let base_quar = Quarantine.bindings (Engine.quarantine base_engine) in
+  Alcotest.(check bool) "the fault model quarantined something" true
+    (base_quar <> []);
+  List.iter
+    (fun backend ->
+      let result, bytes, engine = run backend 2 in
+      let tag = Backend.to_name backend ^ "/2" in
+      Alcotest.(check bool)
+        (tag ^ ": result bit-identical to domains -j1")
+        true (result = base_result);
+      Alcotest.(check string)
+        (tag ^ ": logical trace byte-identical to domains -j1")
+        base_bytes bytes;
+      Alcotest.(check bool)
+        (tag ^ ": quarantine bindings equal domains -j1")
+        true
+        (Quarantine.bindings (Engine.quarantine engine) = base_quar))
+    [ Backend.Processes; Backend.Sharded ]
 
 (* --- differential: text vs binary cache format -------------------------- *)
 
@@ -492,8 +550,8 @@ let test_worker_crash_retries_recover () =
 
 let test_node_crash_exhausts_to_outcome () =
   (* Sharded sibling of the worker-crash test: with no retry budget, a
-     killed node's in-flight job surfaces as the typed Worker_crashed
-     outcome while its queued shard-mates still complete. *)
+     killed node's running job surfaces as the typed Worker_crashed
+     outcome while the rest of its chunks still complete. *)
   let policy = { Engine.default_policy with Engine.max_retries = 0 } in
   let engine =
     Engine.create ~backend:Backend.Sharded ~nodes:2 ~kill_node_after:0
@@ -951,6 +1009,8 @@ let suite =
         test_shard_orphaned_shard_migrates;
       Alcotest.test_case "shard rejects nodes=0" `Quick
         test_shard_rejects_bad_nodes;
+      Alcotest.test_case "crash costs exactly the running job" `Quick
+        test_crash_attribution_exact;
       Alcotest.test_case "cfr differential (procs+shard 1/2/4)" `Quick
         test_differential_cfr;
       Alcotest.test_case "fr differential (procs+shard 1/2/4)" `Quick
@@ -963,6 +1023,8 @@ let suite =
         test_differential_survives_worker_kills;
       Alcotest.test_case "differential survives node kills" `Quick
         test_differential_survives_node_kills;
+      Alcotest.test_case "faulted differential at the chunk cap" `Quick
+        test_faulted_differential_full_chunks;
       Alcotest.test_case "cfr format differential (full matrix)" `Quick
         test_format_differential_cfr;
       Alcotest.test_case "fr format differential" `Quick

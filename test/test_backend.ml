@@ -5,7 +5,6 @@
    no domain is ever created) so Procpool's forks stay legal. *)
 
 let () =
-  Ft_shard.Shard.install ();
   Alcotest.run "funcytuner-backend"
     [
       Suite_backend.suite;
