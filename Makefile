@@ -99,9 +99,9 @@ smoke-procs: build
 #   1. --backend sharded --nodes 4 tune output AND its logical trace are
 #      byte-identical to --backend domains --jobs 4 (itself already
 #      checked against --jobs 1 by `smoke`);
-#   2. they stay byte-identical when the first node is SIGKILLed
-#      mid-search (--kill-node-after): its unanswered chunks return to
-#      the cursor and the job it was running retries bit-identically.
+#   2. they stay byte-identical when the first worker is SIGKILLed
+#      mid-search (--kill-workers-after): its unanswered chunks return
+#      to the cursor and the job it was running retries bit-identically.
 smoke-shard: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 4 \
 	  --trace _build/smoke-shard-d.jsonl --trace-clock logical \
@@ -112,12 +112,12 @@ smoke-shard: build
 	cmp _build/smoke-shard-d.out _build/smoke-shard-s.out
 	cmp _build/smoke-shard-d.jsonl _build/smoke-shard-s.jsonl
 	$(FUNCY) tune -b swim -a cfr -k 120 --backend sharded --nodes 4 \
-	  --kill-node-after 3 \
+	  --kill-workers-after 3 \
 	  --trace _build/smoke-shard-k.jsonl --trace-clock logical \
 	  > _build/smoke-shard-k.out
 	cmp _build/smoke-shard-d.out _build/smoke-shard-k.out
 	cmp _build/smoke-shard-d.jsonl _build/smoke-shard-k.jsonl
-	@echo "smoke-shard OK: sharded backend byte-identical to domains, even under node kills"
+	@echo "smoke-shard OK: sharded backend byte-identical to domains, even under worker kills"
 
 # Checkpoint/resume equivalence oracle (see DESIGN.md section 12): for
 # each algorithm, run uninterrupted, then kill-and-resume at several

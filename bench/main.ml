@@ -4,11 +4,12 @@
    ablations adaptive faults micro engine).
 
    Flags (anywhere on the command line):
-     --jobs N | -j N   size of the evaluation-engine worker pool
-                       (default 1 = sequential; results are bit-identical
-                       for any value)
-     --backend NAME    evaluation substrate: domains (default) or
-                       processes (forked workers; crash-isolated, same
+     --jobs N | -j N   size of the evaluation-engine worker pool, on
+                       whichever backend is chosen (default 1 =
+                       sequential; results are bit-identical for any
+                       value)
+     --backend NAME    evaluation substrate: domains (default), processes
+                       or sharded (forked workers; crash-isolated, same
                        results)
      --stats           print engine telemetry at exit
      --faults          arm the deterministic fault model for the lab engine
@@ -46,7 +47,6 @@ let timeout = ref None
 let repeats = ref 1
 let retries = ref 2
 let checkpoint = ref None
-let cache_format = ref Ft_engine.Cache.default_format
 let gate_path = ref None
 let gate_min_ratio = ref 0.9
 let gate_latency_slack = ref 3.0
@@ -70,9 +70,11 @@ let policy () =
 let make_engine () =
   let open Ft_engine in
   match !checkpoint with
-  | None -> Engine.create ~jobs:!jobs ~backend:!backend ~policy:(policy ()) ()
+  | None ->
+      Engine.create ~jobs:!jobs ~nodes:!jobs ~backend:!backend
+        ~policy:(policy ()) ()
   | Some path ->
-      let ck = Checkpoint.create ~path ~format:!cache_format () in
+      let ck = Checkpoint.create ~path () in
       let cache, quarantine =
         match if Checkpoint.exists ck then Checkpoint.load ck else None with
         | Some (cache, quarantine) ->
@@ -83,8 +85,8 @@ let make_engine () =
             (cache, quarantine)
         | None -> (Cache.create (), Quarantine.create ())
       in
-      Engine.create ~jobs:!jobs ~backend:!backend ~cache ~quarantine
-        ~policy:(policy ()) ~checkpoint:ck ()
+      Engine.create ~jobs:!jobs ~nodes:!jobs ~backend:!backend ~cache
+        ~quarantine ~policy:(policy ()) ~checkpoint:ck ()
 
 let lab = lazy (Lab.create ~engine:(make_engine ()) ())
 
@@ -453,7 +455,8 @@ let run_json_bench () =
     (float_of_int shard_result.Funcytuner.Result.evaluations /. shard_wall);
   (* 1b. solo tune: wall clock, evaluation rate, cache hit rate *)
   let engine =
-    Ft_engine.Engine.create ~jobs:!jobs ~backend:!backend ~policy:(policy ()) ()
+    Ft_engine.Engine.create ~jobs:!jobs ~nodes:!jobs ~backend:!backend
+      ~policy:(policy ()) ()
   in
   let t0 = Ft_util.Clock.now () in
   let session =
@@ -678,7 +681,11 @@ let set_jobs = int_flag ~flag:"--jobs" ~min_v:1 jobs
 let set_backend s =
   match Ft_engine.Backend.of_name s with
   | Some b -> backend := b
-  | None -> usage_error "--backend expects 'domains' or 'processes', got '%s'" s
+  | None ->
+      usage_error "--backend expects one of %s, got '%s'"
+        (String.concat ", "
+           (List.map Ft_engine.Backend.to_name Ft_engine.Backend.all))
+        s
 
 let set_fault_rate s =
   match float_of_string_opt s with
@@ -689,11 +696,6 @@ let set_timeout s =
   match float_of_string_opt s with
   | Some t when t > 0.0 -> timeout := Some t
   | _ -> usage_error "--timeout expects a positive float, got '%s'" s
-
-let set_cache_format s =
-  match Ft_engine.Cache.format_of_string s with
-  | Some f -> cache_format := f
-  | None -> usage_error "--cache-format expects 'text' or 'binary', got '%s'" s
 
 let float_flag ~flag ~min_v cell s =
   match float_of_string_opt s with
@@ -736,9 +738,6 @@ let parse_args argv =
     | "--checkpoint" :: path :: rest ->
         checkpoint := Some path;
         go names rest
-    | "--cache-format" :: f :: rest ->
-        set_cache_format f;
-        go names rest
     | "--gate" :: path :: rest ->
         gate_path := Some path;
         go names rest
@@ -756,7 +755,7 @@ let parse_args argv =
         set_jobs (String.sub arg 7 (String.length arg - 7));
         go names rest
     | ("--fault-rate" | "--fault-seed" | "--timeout" | "--repeats"
-      | "--retries" | "--checkpoint" | "--cache-format" | "--gate"
+      | "--retries" | "--checkpoint" | "--gate"
       | "--gate-min-ratio" | "--gate-latency-slack" | "--gate-hit-slack"
       | "--jobs" | "-j" | "--backend") :: [] ->
         usage_error "missing value for the last flag"

@@ -117,10 +117,10 @@ let kill_workers_t =
     & opt (some (bounded_int_arg ~what:"kill-workers-after" ~min_v:0)) None
     & info [ "kill-workers-after" ] ~docv:"N"
         ~doc:
-          "Testing hook ($(b,--backend processes) only): in each batch's \
-           first round, the first worker SIGKILLs itself at its \
-           ($(docv)+1)-th job, exercising crash recovery; results still \
-           match an uninterrupted run.")
+          "Testing hook (either forked backend, $(b,processes) or \
+           $(b,sharded)): in each batch's first round, the first worker \
+           SIGKILLs itself at its ($(docv)+1)-th job, exercising crash \
+           recovery; results still match an uninterrupted run.")
 
 let nodes_t =
   Arg.(
@@ -132,18 +132,6 @@ let nodes_t =
            batch runs on $(docv) forked workers fed contiguous chunks \
            from one shared cursor.  Results are bit-identical for any \
            value.")
-
-let kill_node_t =
-  Arg.(
-    value
-    & opt (some (bounded_int_arg ~what:"kill-node-after" ~min_v:0)) None
-    & info [ "kill-node-after" ] ~docv:"N"
-        ~doc:
-          "Testing hook ($(b,--backend sharded) only): in each batch's \
-           first round, the first node SIGKILLs itself at its \
-           ($(docv)+1)-th job — its unanswered chunks return to the \
-           cursor and the job it was running retries; results still \
-           match an uninterrupted run.")
 
 let shared_cache_t =
   Arg.(
@@ -238,7 +226,6 @@ type resilience = {
   retries : int;
   checkpoint : string option;
   die_after : int option;
-  cache_format : Cache.format;
 }
 
 let resilience_t =
@@ -331,42 +318,14 @@ let resilience_t =
             "Testing hook: flush the checkpoint and abort (exit 99) after \
              $(docv) engine jobs, simulating a mid-search crash.")
   in
-  let cache_format_t =
-    let format_arg =
-      let parse s =
-        match Cache.format_of_string s with
-        | Some f -> Ok f
-        | None ->
-            Error
-              (`Msg
-                 (Printf.sprintf
-                    "unknown cache format '%s', expected text or binary" s))
-      in
-      Arg.conv
-        (parse, fun fmt f -> Format.pp_print_string fmt (Cache.format_to_string f))
-    in
-    Arg.(
-      value
-      & opt format_arg Cache.default_format
-      & info [ "cache-format" ] ~docv:"FMT"
-          ~doc:
-            "On-disk format of the cache files this run writes \
-             ($(b,--checkpoint) snapshots, $(b,--shared-cache), serve \
-             state): $(b,binary) (default; versioned append-only records, \
-             O(delta) shared-cache syncs) or $(b,text) (the v1 \
-             line-oriented format, human-inspectable).  Reading \
-             auto-detects either format, so old checkpoints and \
-             $(b,--warm-start) files keep working and either setting \
-             reaches bit-identical results.")
-  in
   let combine faults fault_rate fault_seed timeout repeats retries checkpoint
-      die_after cache_format =
+      die_after =
     { faults; fault_rate; fault_seed; timeout; repeats; retries; checkpoint;
-      die_after; cache_format }
+      die_after }
   in
   Term.(
     const combine $ faults_t $ rate_t $ fault_seed_t $ timeout_t $ repeats_t
-    $ retries_t $ checkpoint_t $ die_after_t $ cache_format_t)
+    $ retries_t $ checkpoint_t $ die_after_t)
 
 let policy_of_resilience r =
   let base = Engine.default_policy in
@@ -385,15 +344,13 @@ let policy_of_resilience r =
    policy and, with --checkpoint, attach the snapshot file — resuming from
    it when it already exists.  Resume chatter goes to stderr so stdout
    stays byte-comparable across resumed runs. *)
-let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?kill_node_after
-    ?trace r =
+let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
   let policy = policy_of_resilience r in
   match r.checkpoint with
   | None ->
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes
-        ?kill_node_after ~policy ?trace ()
+      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~policy ?trace ()
   | Some path ->
-      let ck = Checkpoint.create ~path ~format:r.cache_format () in
+      let ck = Checkpoint.create ~path () in
       let cache, quarantine =
         match if Checkpoint.exists ck then Checkpoint.load ck else None with
         | Some (cache, quarantine) ->
@@ -405,24 +362,24 @@ let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?kill_node_after
             (cache, quarantine)
         | None -> (Cache.create (), Quarantine.create ())
       in
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes
-        ?kill_node_after ~cache ~quarantine ~policy ~checkpoint:ck ?trace ()
+      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~cache
+        ~quarantine ~policy ~checkpoint:ck ?trace ()
 
-(* --shared-cache: one read-merge-write against the shared file at startup
+(* --shared-cache: one [Cache.sync] against the shared file at startup
    (adopting whatever other processes committed) and one at exit
    (publishing what this run measured).  Chatter goes to stderr so stdout
    stays byte-comparable with unshared runs. *)
-let adopt_shared_cache engine ~format = function
+let adopt_shared_cache engine = function
   | None -> ()
   | Some path ->
-      let adopted = Cache.sync ~format (Engine.cache engine) ~path in
+      let adopted = Cache.sync (Engine.cache engine) ~path in
       if adopted > 0 then
         Printf.eprintf "funcy: adopted %d cached summaries from %s\n%!"
           adopted path
 
-let publish_shared_cache engine ~format = function
+let publish_shared_cache engine = function
   | None -> ()
-  | Some path -> ignore (Cache.sync ~format (Engine.cache engine) ~path)
+  | Some path -> ignore (Cache.sync (Engine.cache engine) ~path)
 
 (* The simulated crash still flushes the checkpoint and exports the trace
    collected so far: a post-mortem [funcy report] on a crashed run is
@@ -599,14 +556,13 @@ let tune_cmd =
              budget.")
   in
   let run program platform seed pool jobs backend kill_workers nodes
-      kill_node shared_cache stats resilience tspec algo top_x budget
-      warm_start =
+      shared_cache stats resilience tspec algo top_x budget warm_start =
     let trace = make_trace tspec in
     let engine =
       make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
-        ?kill_node_after:kill_node ?trace resilience
+        ?trace resilience
     in
-    adopt_shared_cache engine ~format:resilience.cache_format shared_cache;
+    adopt_shared_cache engine shared_cache;
     arm_die_after engine
       ~on_die:(fun () -> export_trace tspec trace)
       resilience.die_after;
@@ -626,7 +582,7 @@ let tune_cmd =
     print_newline ();
     Fun.protect ~finally:(fun () ->
         Engine.flush_checkpoint engine;
-        publish_shared_cache engine ~format:resilience.cache_format shared_cache;
+        publish_shared_cache engine shared_cache;
         export_trace tspec trace;
         maybe_stats stats (Funcytuner.Context.telemetry ctx))
     @@ fun () ->
@@ -702,8 +658,8 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:"Run one auto-tuning algorithm")
     Term.(
       const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ kill_node_t $ shared_cache_t
-      $ stats_t $ resilience_t $ trace_spec_t $ algo_t $ top_x_t $ budget_t
+      $ backend_t $ kill_workers_t $ nodes_t $ shared_cache_t $ stats_t
+      $ resilience_t $ trace_spec_t $ algo_t $ top_x_t $ budget_t
       $ warm_start_t)
 
 (* --- selfcheck --------------------------------------------------------- *)
@@ -784,15 +740,17 @@ let selfcheck_cmd =
   in
   (* The service-side oracle: forked supervised daemons, so it must run
      before this process spawns any domain. *)
-  let run_serve_oracle program platform seed pool jobs backend resilience =
+  let run_serve_oracle program platform seed pool jobs backend nodes
+      resilience =
     let policy = policy_of_resilience resilience in
     with_scratch_dir @@ fun scratch ->
     let make_runner ~state_dir =
       let make_engine ?cache ?quarantine ?checkpoint () =
-        Engine.create ~jobs ~backend ?cache ?quarantine ~policy ?checkpoint ()
+        Engine.create ~jobs ~backend ~nodes ?cache ?quarantine ~policy
+          ?checkpoint ()
       in
       Ft_serve.Runner.make_durable ~make_engine ~state_dir ~checkpoint_every:8
-        ~cache_format:resilience.cache_format ()
+        ()
     in
     let spec s =
       {
@@ -816,9 +774,9 @@ let selfcheck_cmd =
     if not (Ft_serve.Servecheck.passed outcome) then exit 1
   in
   let run program platform seed pool jobs backend kill_workers nodes
-      kill_node resilience algos_selected kill_at serve =
+      resilience algos_selected kill_at serve =
     if serve then run_serve_oracle program platform seed pool jobs backend
-      resilience
+      nodes resilience
     else begin
     let policy = policy_of_resilience resilience in
     let input = Ft_suite.Suite.tuning_input platform program in
@@ -847,8 +805,7 @@ let selfcheck_cmd =
           in
           let make_engine ~cache ~quarantine ~checkpoint ~trace =
             Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-              ~nodes ?kill_node_after:kill_node ~cache ~quarantine ~policy
-              ?checkpoint ?trace ()
+              ~nodes ~cache ~quarantine ~policy ?checkpoint ?trace ()
           in
           let search engine =
             let session =
@@ -865,9 +822,8 @@ let selfcheck_cmd =
                     (Lazy.force session.Tuner.collection))
           in
           let outcome =
-            Ft_engine.Selfcheck.run ?kill_points:kill_at
-              ~format:resilience.cache_format ~scratch ~label ~make_engine
-              ~search ()
+            Ft_engine.Selfcheck.run ?kill_points:kill_at ~scratch ~label
+              ~make_engine ~search ()
           in
           print_string (Ft_engine.Selfcheck.render outcome);
           not (Ft_engine.Selfcheck.passed outcome))
@@ -890,8 +846,8 @@ let selfcheck_cmd =
           and ignored here.")
     Term.(
       const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ kill_node_t $ resilience_t
-      $ algos_t $ kill_at_t $ serve_t)
+      $ backend_t $ kill_workers_t $ nodes_t $ resilience_t $ algos_t
+      $ kill_at_t $ serve_t)
 
 (* --- experiment ------------------------------------------------------- *)
 
@@ -930,14 +886,14 @@ let experiment_cmd =
           ~doc:"fig1 fig5a fig5b fig5c fig6 fig7a fig7b fig8 fig9 tab1 tab2 \
                 tab3 ablations faults (default: fig5c).")
   in
-  let run seed pool jobs backend kill_workers nodes kill_node shared_cache
-      stats resilience tspec csv_dir names =
+  let run seed pool jobs backend kill_workers nodes shared_cache stats
+      resilience tspec csv_dir names =
     let trace = make_trace tspec in
     let engine =
       make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
-        ?kill_node_after:kill_node ?trace resilience
+        ?trace resilience
     in
-    adopt_shared_cache engine ~format:resilience.cache_format shared_cache;
+    adopt_shared_cache engine shared_cache;
     arm_die_after engine
       ~on_die:(fun () -> export_trace tspec trace)
       resilience.die_after;
@@ -983,7 +939,7 @@ let experiment_cmd =
     in
     Fun.protect ~finally:(fun () ->
         Engine.flush_checkpoint engine;
-        publish_shared_cache engine ~format:resilience.cache_format shared_cache;
+        publish_shared_cache engine shared_cache;
         export_trace tspec trace;
         maybe_stats stats (Ft_experiments.Lab.telemetry lab))
     @@ fun () ->
@@ -993,8 +949,8 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate paper tables and figures")
     Term.(
       const run $ seed_t $ pool_t $ jobs_t $ backend_t $ kill_workers_t
-      $ nodes_t $ kill_node_t $ shared_cache_t $ stats_t $ resilience_t
-      $ trace_spec_t $ csv_dir_t $ names_t)
+      $ nodes_t $ shared_cache_t $ stats_t $ resilience_t $ trace_spec_t
+      $ csv_dir_t $ names_t)
 
 (* --- report ------------------------------------------------------------ *)
 
@@ -1117,8 +1073,8 @@ let serve_cmd =
           ~doc:"Respawns the supervisor allows (default 16).")
   in
   let run socket max_queue progress_every jobs backend kill_workers nodes
-      kill_node stats resilience tspec state_dir die_after_requests
-      poison_threshold checkpoint_every supervise respawn_budget =
+      stats resilience tspec state_dir die_after_requests poison_threshold
+      checkpoint_every supervise respawn_budget =
     (* Everything engine-flavoured happens inside [daemon] so that under
        --supervise the forking supervisor parent never spawns a domain. *)
     let daemon ~generation:_ =
@@ -1128,19 +1084,18 @@ let serve_cmd =
         | None ->
             let engine =
               make_engine ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?kill_node_after:kill_node ?trace resilience
+                ~nodes ?trace resilience
             in
             (Engine.telemetry engine, Ft_serve.Runner.make ~engine)
         | Some dir ->
             let policy = policy_of_resilience resilience in
             let make_engine ?cache ?quarantine ?checkpoint () =
               Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?kill_node_after:kill_node ?cache ?quarantine ~policy
-                ?checkpoint ?trace ()
+                ~nodes ?cache ?quarantine ~policy ?checkpoint ?trace ()
             in
             ( Ft_engine.Telemetry.create (),
               Ft_serve.Runner.make_durable ~make_engine ~state_dir:dir
-                ~checkpoint_every ~cache_format:resilience.cache_format () )
+                ~checkpoint_every () )
       in
       let config =
         {
@@ -1195,8 +1150,8 @@ let serve_cmd =
           and exits.")
     Term.(
       const run $ socket_t $ max_queue_t $ progress_every_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ kill_node_t $ stats_t
-      $ resilience_t $ trace_spec_t $ state_dir_t $ die_after_requests_t
+      $ backend_t $ kill_workers_t $ nodes_t $ stats_t $ resilience_t
+      $ trace_spec_t $ state_dir_t $ die_after_requests_t
       $ poison_threshold_t $ checkpoint_every_t $ supervise_t
       $ respawn_budget_t)
 

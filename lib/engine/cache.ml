@@ -1,15 +1,5 @@
 module Exec = Ft_machine.Exec
 
-type format = Text | Binary
-
-let default_format = Binary
-let format_to_string = function Text -> "text" | Binary -> "binary"
-
-let format_of_string = function
-  | "text" -> Some Text
-  | "binary" -> Some Binary
-  | _ -> None
-
 (* Per-file delta-sync bookkeeping: what this process last saw on disk
    under the sidecar lock, so the next [sync] can read and append only
    the delta instead of re-parsing the world.  Invalidated whenever the
@@ -45,10 +35,25 @@ let add t key summary =
 
 let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 
-let bindings t =
+let snapshot t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [])
-  |> List.sort compare
+
+let bindings t = List.sort compare (snapshot t)
+
+(* Adopt entries we lack (existing keys win); returns how many were new. *)
+let adopt t entries =
+  List.fold_left
+    (fun adopted (k, v) ->
+      Mutex.protect t.lock (fun () ->
+          if Hashtbl.mem t.table k then adopted
+          else begin
+            Hashtbl.replace t.table k v;
+            adopted + 1
+          end))
+    0 entries
+
+let merge t ~from = adopt t (snapshot from)
 
 let drop_sync_state t path =
   Mutex.protect t.lock (fun () -> Hashtbl.remove t.sync_states path)
@@ -59,29 +64,14 @@ let set_sync_state t path state =
 let get_sync_state t path =
   Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.sync_states path)
 
-(* -- text format (v1) ----------------------------------------------------
+(* -- text format (v1), read-only -----------------------------------------
 
    One entry per line,
      <key> TAB <total> TAB <nonloop> [TAB <loop-name>=<seconds>]...
-   Floats are printed with %h (hexadecimal significand), so a save/load
-   round-trip is bit-exact and the determinism guarantee survives
-   persistence.  Still written under [~format:Text] and always readable
-   (the header's magic line picks the decoder), so old checkpoints and
-   --warm-start files keep working. *)
-
-let format_magic = Cache_codec.text_magic
-
-let entry_line key (s : Exec.summary) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf key;
-  Buffer.add_string buf (Printf.sprintf "\t%h\t%h" s.Exec.sum_total_s s.Exec.sum_nonloop_s);
-  List.iter
-    (fun (name, seconds) ->
-      if String.contains name '\t' || String.contains name '=' then
-        invalid_arg ("Cache.save: unencodable region name " ^ name);
-      Buffer.add_string buf (Printf.sprintf "\t%s=%h" name seconds))
-    s.Exec.sum_loops;
-  Buffer.contents buf
+   with floats in %h (hexadecimal significand), so the values read back
+   bit-exactly.  Read, never written: the header's magic line picks this
+   decoder, so old checkpoints and --warm-start files load, and [sync]
+   migrates them to binary in place. *)
 
 (* A typed parse: every way a line can be malformed is reported as a
    message rather than an exception, so [load] can decide to skip a bad
@@ -160,7 +150,7 @@ let table_of_contents ~warn ~path contents =
   (match Cache_codec.detect contents with
   | `Corrupt reason -> raise (Corrupt { path; line = 1; reason })
   | `Text ->
-      let body_start = String.length format_magic + 1 in
+      let body_start = String.length Cache_codec.text_magic + 1 in
       parse_text_body ~warn t.table
         (String.sub contents body_start (String.length contents - body_start))
   | `Binary ->
@@ -207,39 +197,14 @@ let load ?warn path =
   sweep_stale_tmp ~path;
   table_of_contents ~warn ~path (read_whole path)
 
-let save ?(format = default_format) t ~path =
-  (match format with
-  | Text ->
-      Atomic_file.write ~path (fun oc ->
-          output_string oc (format_magic ^ "\n");
-          List.iter
-            (fun (key, summary) ->
-              output_string oc (entry_line key summary);
-              output_char oc '\n')
-            (bindings t))
-  | Binary ->
-      Atomic_file.write ~path (fun oc ->
-          output_string oc (Cache_codec.encode_file (bindings t))));
+let save t ~path =
+  Atomic_file.write ~path (fun oc ->
+      output_string oc (Cache_codec.encode_file (bindings t)));
   (* The rename put a new inode under [path]; any delta bookkeeping for
      it now describes a dead file. *)
   drop_sync_state t path
 
-(* -- multi-process sharing ---------------------------------------------- *)
-
-let merge t ~from =
-  Mutex.protect from.lock (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) from.table [])
-  |> List.fold_left
-       (fun adopted (k, v) ->
-         Mutex.protect t.lock (fun () ->
-             if Hashtbl.mem t.table k then adopted
-             else begin
-               Hashtbl.replace t.table k v;
-               adopted + 1
-             end))
-       0
-
-(* -- delta sync (binary) -------------------------------------------------
+(* -- delta sync ----------------------------------------------------------
 
    The journal-style protocol behind [--shared-cache] at scale.  Under
    the sidecar lock:
@@ -314,18 +279,6 @@ let append_news t ~path ~state =
   state.s_id <- file_id (Unix.stat path);
   set_sync_state t path state
 
-(* Adopt decoded entries we lack; returns how many were new to [t]. *)
-let adopt t entries =
-  List.fold_left
-    (fun adopted (k, v) ->
-      Mutex.protect t.lock (fun () ->
-          if Hashtbl.mem t.table k then adopted
-          else begin
-            Hashtbl.replace t.table k v;
-            adopted + 1
-          end))
-    0 entries
-
 let full_sync ?warn t ~path =
   let warn =
     match warn with
@@ -344,11 +297,7 @@ let full_sync ?warn t ~path =
     | `Corrupt reason -> raise (Corrupt { path; line = 1; reason })
     | `Text ->
         (* v1 file: adopt it wholesale and migrate to binary in place. *)
-        let disk = create () in
-        let body_start = String.length format_magic + 1 in
-        parse_text_body ~warn disk.table
-          (String.sub contents body_start (String.length contents - body_start));
-        let adopted = merge t ~from:disk in
+        let adopted = merge t ~from:(table_of_contents ~warn ~path contents) in
         compact t ~path;
         adopted
     | `Binary ->
@@ -416,26 +365,15 @@ let delta_sync ?warn t ~path ~state ~size =
     append_news t ~path ~state;
   adopted
 
-let sync ?warn ?(format = default_format) t ~path =
+let sync ?warn t ~path =
   with_file_lock ~path (fun () ->
       ignore (Atomic_file.sweep ~path ());
-      match format with
-      | Text ->
-          (* v1 semantics: whole-file read-merge-write, kept for golden
-             tests and human-inspectable shared caches. *)
-          let adopted =
-            if Sys.file_exists path then merge t ~from:(load ?warn path)
-            else 0
-          in
-          save ~format:Text t ~path;
-          adopted
-      | Binary -> (
-          match (get_sync_state t path, Sys.file_exists path) with
-          | Some state, true ->
-              let st = Unix.stat path in
-              if file_id st = state.s_id && st.Unix.st_size >= state.s_offset
-              then delta_sync ?warn t ~path ~state ~size:st.Unix.st_size
-              else full_sync ?warn t ~path
-          | Some _, false | None, _ ->
-              drop_sync_state t path;
-              full_sync ?warn t ~path))
+      match (get_sync_state t path, Sys.file_exists path) with
+      | Some state, true ->
+          let st = Unix.stat path in
+          if file_id st = state.s_id && st.Unix.st_size >= state.s_offset then
+            delta_sync ?warn t ~path ~state ~size:st.Unix.st_size
+          else full_sync ?warn t ~path
+      | Some _, false | None, _ ->
+          drop_sync_state t path;
+          full_sync ?warn t ~path)

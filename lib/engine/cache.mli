@@ -14,31 +14,17 @@
 
     {2 On-disk formats}
 
-    Two formats share the loader, selected by the magic first line:
-
-    - {e binary} (v2, the default writer): {!Cache_codec}'s append-only
-      length-prefixed records — the fast path, and the format {!sync}
-      appends deltas to;
-    - {e text} (v1): one line per entry with floats rendered in
-      hexadecimal ([%h]) — human-inspectable, still written under
-      [~format:Text].
-
-    Both round-trip floats bit-exactly (text via [%h], binary via the
-    IEEE-754 bits themselves), so a re-run of yesterday's experiment, or
-    a greedy run sharing a collection with CFR, never re-measures a
-    binary it has seen — whichever format wrote the file. *)
+    {!save} and {!sync} write one format, {e binary} (v2):
+    {!Cache_codec}'s append-only length-prefixed records, floats stored
+    as their IEEE-754 bits.  The loader also reads {e text} (v1), one
+    line per entry with floats in hexadecimal ([%h]), picked by the
+    magic first line, so old checkpoints and [--warm-start] files keep
+    loading; the first {!sync} against a v1 file migrates it to binary
+    in place.  Both read back bit-exactly, so a re-run of yesterday's
+    experiment, or a greedy run sharing a collection with CFR, never
+    re-measures a binary it has seen. *)
 
 type t
-
-type format = Text | Binary
-
-val default_format : format
-(** {!Binary}. *)
-
-val format_to_string : format -> string
-(** ["text"] / ["binary"] (the [--cache-format] spellings). *)
-
-val format_of_string : string -> format option
 
 val create : unit -> t
 
@@ -53,22 +39,23 @@ val length : t -> int
 val bindings : t -> (string * Ft_machine.Exec.summary) list
 (** All entries, sorted by key (deterministic; used by [save] and tests). *)
 
-val save : ?format:format -> t -> path:string -> unit
-(** Write every entry to [path] in [format] (default {!default_format}),
-    atomically: the table is written to a temporary file in the same
-    directory and renamed over [path], so a crash mid-save can never
-    leave a truncated cache on disk ({!Atomic_file}).
-    @raise Invalid_argument if a region name cannot be encoded. *)
+val save : t -> path:string -> unit
+(** Write every entry to [path] in the binary format, atomically: the
+    table is written to a temporary file in the same directory and
+    renamed over [path], so a crash mid-save can never leave a truncated
+    cache on disk ({!Atomic_file}).
+    @raise Invalid_argument if a key, region name or loop count exceeds
+    the codec's 16-bit length fields. *)
 
 exception Corrupt of { path : string; line : int; reason : string }
 (** Raised by {!load} when the file is not an engine cache at all (missing
     or invalid magic header), with the offending line number. *)
 
 val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
-(** [load path] reads a table written by {!save} in {e either} format,
-    auto-detected from the magic line.  Malformed entries {e after} a
-    valid magic header (torn writes, bit rot) are skipped, reporting each
-    to [warn] with its line number — for binary files, the record
+(** [load path] reads a binary table written by {!save} or a v1 text
+    one, auto-detected from the magic line.  Malformed entries {e after}
+    a valid magic header (torn writes, bit rot) are skipped, reporting
+    each to [warn] with its line number — for binary files, the record
     ordinal offset by the header line — and a reason (default: one
     warning line on stderr), rather than aborting the load: a partially
     corrupt cache still resumes everything that survived.  A tail not
@@ -96,11 +83,7 @@ val with_file_lock : path:string -> (unit -> 'a) -> 'a
     the data file's own inode. *)
 
 val sync :
-  ?warn:(line:int -> reason:string -> unit) ->
-  ?format:format ->
-  t ->
-  path:string ->
-  int
+  ?warn:(line:int -> reason:string -> unit) -> t -> path:string -> int
 (** Reconcile [t] with the shared file at [path] under {!with_file_lock}:
     adopt every on-disk entry [t] lacks, then make the file hold the
     union.  The primitive behind [--shared-cache] — any number of
@@ -108,23 +91,18 @@ val sync :
     committed entry survives.  Returns the number of entries adopted
     {e from} the file.
 
-    With [~format:Binary] (the default) this is O(delta), journal-style:
-    the first sync against a file reads it once (migrating a v1 text
-    file to binary in place); every later sync reads only the bytes
-    appended since, truncates any torn tail left by a writer killed
-    mid-append (safe under the exclusive lock), and appends only entries
-    the file does not already hold, fsyncing before the lock is
-    released.  The file is compacted — atomically rewritten with one
+    This is O(delta), journal-style: the first sync against a file
+    reads it once (migrating a v1 text file to binary in place); every
+    later sync reads only the bytes appended since, truncates any torn
+    tail left by a writer killed mid-append (safe under the exclusive
+    lock), and appends only entries the file does not already hold,
+    fsyncing before the lock is released.  The file is compacted — atomically rewritten with one
     record per key — when a scan finds malformed records or when
     duplicate frames from racing appenders exceed twice the distinct
     keys.  A file replaced or truncated behind our back (the dev/ino
     pair changes, or the size shrinks) is detected and re-read in full.
 
-    With [~format:Text] it is the v1 whole-file read-merge-write, kept
-    for golden tests and human-inspectable shared caches.
-
-    Either way the held lock also pays for an {!Atomic_file.sweep}:
-    stale temporaries left by SIGKILLed writers are reclaimed on every
-    sync.
+    The held lock also pays for an {!Atomic_file.sweep}: stale
+    temporaries left by SIGKILLed writers are reclaimed on every sync.
 
     @raise Corrupt as {!load}. *)

@@ -1,19 +1,17 @@
 type t = {
   path : string;
   every : int;
-  format : Cache.format;
   lock : Mutex.t;
   save_lock : Mutex.t;
   mutable pending : int;
   on_write : (string -> unit) option;
 }
 
-let create ~path ?(every = 64) ?(format = Cache.default_format) ?on_write () =
+let create ~path ?(every = 64) ?on_write () =
   if every < 1 then invalid_arg "Checkpoint.create: every must be >= 1";
   {
     path;
     every;
-    format;
     lock = Mutex.create ();
     save_lock = Mutex.create ();
     pending = 0;
@@ -77,7 +75,7 @@ let save t ~cache ~quarantine =
          could resurrect a quarantined configuration with a stale verdict. *)
       Quarantine.save quarantine ~path:(quarantine_path t);
       notify t "quarantine";
-      Cache.save ~format:t.format cache ~path:t.path;
+      Cache.save cache ~path:t.path;
       notify t "cache";
       Atomic_file.write ~path:(commit_path t) (fun oc ->
           Printf.fprintf oc "%s\ncache %s\nquarantine %s\n" commit_magic

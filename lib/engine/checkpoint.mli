@@ -32,21 +32,16 @@
 type t
 
 val create :
-  path:string ->
-  ?every:int ->
-  ?format:Cache.format ->
-  ?on_write:(string -> unit) ->
-  unit ->
-  t
+  path:string -> ?every:int -> ?on_write:(string -> unit) -> unit -> t
 (** [every] (default 64) is the number of recorded events between
-    snapshots.  Nothing is written until the first event.  [format]
-    (default {!Cache.default_format}) pins the cache snapshot's on-disk
-    format; {!load} auto-detects either, so resuming a text-era
-    checkpoint with a binary writer just migrates it at the next save.
-    [on_write] is a test hook, called inside the save transaction after
-    each file reaches disk, with the stage name ["quarantine"], ["cache"]
-    or ["commit"] — crash-injection tests raise from it to tear a save
-    at a chosen point. *)
+    snapshots.  Nothing is written until the first event.  The cache
+    snapshot is written in {!Cache.save}'s binary format; {!load} also
+    reads a v1 text snapshot, so a text-era checkpoint resumes and is
+    rewritten as binary at the next save.  [on_write] is a test hook,
+    called inside the save transaction after each file reaches disk,
+    with the stage name ["quarantine"], ["cache"] or ["commit"] —
+    crash-injection tests raise from it to tear a save at a chosen
+    point. *)
 
 val path : t -> string
 val quarantine_path : t -> string

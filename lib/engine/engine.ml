@@ -104,7 +104,6 @@ type t = {
   backend : Backend.t;
   kill_workers_after : int option;
   nodes : int;
-  kill_node_after : int option;
   cache : Cache.t;
   telemetry : Telemetry.t;
   policy : policy;
@@ -115,8 +114,8 @@ type t = {
 }
 
 let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
-    ?(nodes = 1) ?kill_node_after ?cache ?telemetry ?(policy = default_policy)
-    ?quarantine ?checkpoint ?trace () =
+    ?(nodes = 1) ?cache ?telemetry ?(policy = default_policy) ?quarantine
+    ?checkpoint ?trace () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   if nodes < 1 then invalid_arg "Engine.create: nodes must be >= 1";
   if policy.repeats < 1 then
@@ -129,15 +128,11 @@ let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
   | Some k when k < 0 ->
       invalid_arg "Engine.create: kill_workers_after must be >= 0"
   | _ -> ());
-  (match kill_node_after with
-  | Some k when k < 0 -> invalid_arg "Engine.create: kill_node_after must be >= 0"
-  | _ -> ());
   {
     jobs;
     backend;
     kill_workers_after;
     nodes;
-    kill_node_after;
     cache = (match cache with Some c -> c | None -> Cache.create ());
     telemetry =
       (match telemetry with Some t -> t | None -> Telemetry.create ());
@@ -554,10 +549,10 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
   Telemetry.expect t.telemetry n;
   let batch = Trace.batch t.trace ~size:n in
   let outcomes = Array.make n None in
-  let workers, kill =
+  let workers =
     match t.backend with
-    | Backend.Sharded -> (t.nodes, t.kill_node_after)
-    | Backend.Processes | Backend.Domains -> (t.jobs, t.kill_workers_after)
+    | Backend.Sharded -> t.nodes
+    | Backend.Processes | Backend.Domains -> t.jobs
   in
   let run_round ~chaos indices =
     let idx = Array.of_list indices in
@@ -588,10 +583,10 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
           Trace.worker_crashed t.trace ~detail;
           crashed := (i, detail) :: !crashed
     in
+    let kill = if chaos then t.kill_workers_after else None in
     ignore
       (Procpool.map_chunked ~workers ~on_delta:(merge_delta t) ~on_result
-         ?kill_first_worker_after:(if chaos then kill else None)
-         session (Array.length idx));
+         ?kill_first_worker_after:kill session (Array.length idx));
     List.sort (fun (a, _) (b, _) -> compare a b) !crashed
   in
   let rec rounds attempt ~chaos indices =

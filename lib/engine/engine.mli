@@ -100,7 +100,6 @@ val create :
   ?backend:Backend.t ->
   ?kill_workers_after:int ->
   ?nodes:int ->
-  ?kill_node_after:int ->
   ?cache:Cache.t ->
   ?telemetry:Telemetry.t ->
   ?policy:policy ->
@@ -119,11 +118,10 @@ val create :
     runs on one shadow engine and ships home one delta (cache and
     quarantine news, a telemetry snapshot, trace stamps), which the
     parent merges before recording the chunk's outcomes.
-    [kill_workers_after] arms the deterministic chaos hook on the
-    processes backend: on each batch's {e first} round, the first worker
+    [kill_workers_after] arms the deterministic chaos hook on either
+    forked backend: on each batch's {e first} round, the first worker
     SIGKILLs itself at its [(k+1)]-th job — the crash path's test
-    harness.  [kill_node_after] is the same hook for the sharded
-    backend.  A fresh cache, telemetry and quarantine are allocated
+    harness.  A fresh cache, telemetry and quarantine are allocated
     unless shared ones are passed (e.g. one cache for a whole experiment
     lab, or a quarantine reloaded from a checkpoint).  When a
     [checkpoint] is attached, cache and quarantine snapshots are
@@ -134,8 +132,7 @@ val create :
     on the job path.
     @raise Invalid_argument if [jobs < 1], [nodes < 1],
     [policy.repeats < 1], [policy.max_retries < 0],
-    [policy.timeout_s <= 0], [kill_workers_after < 0] or
-    [kill_node_after < 0]. *)
+    [policy.timeout_s <= 0] or [kill_workers_after < 0]. *)
 
 val jobs : t -> int
 val backend : t -> Backend.t

@@ -35,13 +35,21 @@ let lines_of contents =
 
 let remove_if_exists path = if Sys.file_exists path then Sys.remove path
 
-(* Always rendered as text, whatever format the checkpoints under test
-   use: the comparison is semantic (same bindings, bit-exact %h floats)
-   and the divergence diffs must stay human-readable lines. *)
-let serialize_cache ~scratch ~tag cache =
-  let path = Filename.concat scratch (tag ^ ".cache") in
-  Cache.save ~format:Cache.Text cache ~path;
-  lines_of (read_file path)
+(* One line per binding in key order: the key, total and non-loop
+   seconds, then [name=seconds] per loop, tab-separated.  Floats in %h,
+   so two lines are equal exactly when the summaries are bit-identical,
+   and a divergence diff stays human-readable. *)
+let cache_lines cache =
+  List.map
+    (fun (key, (s : Ft_machine.Exec.summary)) ->
+      String.concat "\t"
+        (key
+        :: Printf.sprintf "%h" s.sum_total_s
+        :: Printf.sprintf "%h" s.sum_nonloop_s
+        :: List.map
+             (fun (name, seconds) -> Printf.sprintf "%s=%h" name seconds)
+             s.sum_loops))
+    (Cache.bindings cache)
 
 let snapshot ~scratch ~tag engine trace result =
   let qpath = Filename.concat scratch (tag ^ ".quarantine") in
@@ -49,7 +57,7 @@ let snapshot ~scratch ~tag engine trace result =
   Quarantine.save quarantine ~path:qpath;
   {
     result;
-    cache_lines = serialize_cache ~scratch ~tag (Engine.cache engine);
+    cache_lines = cache_lines (Engine.cache engine);
     quarantine_lines = lines_of (read_file qpath);
     trace_lines =
       Trace.normalized_lines
@@ -101,7 +109,7 @@ let compare_artifacts ~stage ~reference ~candidate =
        ~actual:candidate.trace_lines
   |> List.rev
 
-let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
+let run ?kill_points ~scratch ~label ~make_engine ~search () =
   (* Reference: uninterrupted, fresh stores, logical trace. *)
   let ref_trace = Trace.create ~clock:Trace.Logical () in
   let ref_engine =
@@ -127,7 +135,7 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
   let check_kill n =
     let stage = Printf.sprintf "kill@%d" n in
     let snap = Filename.concat scratch (Printf.sprintf "kill%d.snap" n) in
-    let ck = Checkpoint.create ~path:snap ?format () in
+    let ck = Checkpoint.create ~path:snap () in
     List.iter remove_if_exists
       [ Checkpoint.path ck; Checkpoint.quarantine_path ck;
         Checkpoint.commit_path ck ];
@@ -150,7 +158,7 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
         let trace = Trace.create ~clock:Trace.Logical () in
         let resumed_engine =
           make_engine ~cache ~quarantine
-            ~checkpoint:(Some (Checkpoint.create ~path:snap ?format ()))
+            ~checkpoint:(Some (Checkpoint.create ~path:snap ()))
             ~trace:(Some trace)
         in
         let result = search resumed_engine in
@@ -182,14 +190,8 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
           ignore (Cache.merge union ~from:extra : int);
           union
         in
-        let ab =
-          serialize_cache ~scratch ~tag:"merge-ab"
-            (adopt (Engine.cache ref_engine) resumed_cache)
-        in
-        let ba =
-          serialize_cache ~scratch ~tag:"merge-ba"
-            (adopt resumed_cache (Engine.cache ref_engine))
-        in
+        let ab = cache_lines (adopt (Engine.cache ref_engine) resumed_cache) in
+        let ba = cache_lines (adopt resumed_cache (Engine.cache ref_engine)) in
         ( []
           |> compare_part ~stage:"cache-merge" ~part:"order-independence"
                ~expected:ab ~actual:ba

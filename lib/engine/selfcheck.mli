@@ -44,7 +44,6 @@ type outcome = {
 
 val run :
   ?kill_points:int list ->
-  ?format:Cache.format ->
   scratch:string ->
   label:string ->
   make_engine:
@@ -65,11 +64,10 @@ val run :
     byte-for-byte).  [scratch] is an existing directory for snapshot and
     serialization files; the caller owns its lifetime.  [kill_points]
     (default: first, middle and last boundary) are clamped to the
-    reference run's [1..evaluations] range and deduplicated.  [format]
-    (default {!Cache.default_format}) pins the on-disk format of the
-    checkpoints the oracle kills and resumes through; the comparison
-    artifacts themselves are always rendered as text lines, so the same
-    byte-for-byte verdict applies to either format. *)
+    reference run's [1..evaluations] range and deduplicated.  Caches are
+    compared as lines rendered in memory from {!Cache.bindings} — the
+    key, then [%h] total, non-loop and per-loop seconds — rather than as
+    checkpoint bytes, so a divergence diff names the differing entry. *)
 
 val passed : outcome -> bool
 

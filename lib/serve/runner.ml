@@ -92,12 +92,10 @@ let make_durable
         ?quarantine:Ft_engine.Quarantine.t ->
         ?checkpoint:Ft_engine.Checkpoint.t ->
         unit ->
-        Engine.t) ~state_dir ?(checkpoint_every = 32) ?cache_format () =
+        Engine.t) ~state_dir ?(checkpoint_every = 32) () =
   let run spec ~fingerprint ~tick =
     let path = snapshot_path ~state_dir fingerprint in
-    let checkpoint =
-      Checkpoint.create ~path ~every:checkpoint_every ?format:cache_format ()
-    in
+    let checkpoint = Checkpoint.create ~path ~every:checkpoint_every () in
     let engine =
       if Checkpoint.exists checkpoint then begin
         match Checkpoint.load checkpoint with

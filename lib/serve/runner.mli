@@ -60,15 +60,12 @@ val make_durable :
     Ft_engine.Engine.t) ->
   state_dir:string ->
   ?checkpoint_every:int ->
-  ?cache_format:Ft_engine.Cache.format ->
   unit ->
   t
 (** A crash-safe runner: each [run] builds a fresh engine through
     [make_engine] with a checkpoint at
     [state_dir/<fingerprint>.snap] saving every [checkpoint_every]
     (default 32) state-changing events, resuming from an existing
-    snapshot first.  [cache_format] (default
-    {!Ft_engine.Cache.default_format}) pins the snapshots' cache
-    format; either format resumes.  Snapshot files are removed once the
-    search completes (the journal's [completed] record is the durable
-    result — see {!Journal}). *)
+    snapshot first.  Snapshot files are removed once the search
+    completes (the journal's [completed] record is the durable result —
+    see {!Journal}). *)

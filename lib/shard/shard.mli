@@ -8,12 +8,10 @@
 val map :
   nodes:int ->
   ?on_result:(int -> ('b, Ft_engine.Procpool.failure) result -> unit) ->
-  ?kill_first_node_after:int ->
   ('a -> 'b) ->
   'a array ->
   ('b, Ft_engine.Procpool.failure) result array
-(** [Procpool.map ~workers:nodes], with [kill_first_node_after] as its
-    [kill_first_worker_after].
+(** [Procpool.map ~workers:nodes], without the chaos hook.
     @raise Invalid_argument if [nodes < 1]. *)
 
 val install : unit -> unit

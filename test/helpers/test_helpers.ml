@@ -34,6 +34,12 @@ let write_file path contents =
 
 let remove_if_exists path = if Sys.file_exists path then Sys.remove path
 
+(* A v1 text cache as the text writer wrote it: 20 entries [v1-key-<k>]
+   (see [summary_of_seed] in suite_backend.ml).  v1 is read but never
+   written, so the tests of the v1 reader and migration read this file.
+   Relative to the directory dune runs the test binaries in. *)
+let v1_cache_fixture = "golden/cache-v1.txt"
+
 (* A fresh empty directory under the system temp dir; the caller owns
    cleanup (tests that crash leave it for the OS to reap). *)
 let temp_dir prefix =

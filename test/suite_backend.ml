@@ -2,10 +2,10 @@
    section 11): the Procpool crash taxonomy and its exact crash
    attribution, the Shard aliases over the same pool, the differential
    property that the processes AND sharded backends are byte-identical
-   to the domains backend — results and logical traces, at any --jobs or
-   --nodes, even while workers are being SIGKILLed mid-batch — and
-   QCheck crash-injection properties for the Atomic_file/Cache
-   persistence layer the multi-process modes rest on. *)
+   to the domains backend — results, logical traces and checkpoints, at
+   any --jobs or --nodes, even while workers are being SIGKILLed
+   mid-batch — and QCheck crash-injection properties for the
+   Atomic_file/Cache persistence layer the multi-process modes rest on. *)
 
 open Ft_prog
 module Backend = Ft_engine.Backend
@@ -106,14 +106,19 @@ let test_procpool_on_result_once_per_index () =
   Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
 
 (* The chaos hook: the first worker SIGKILLs itself after completing k
-   jobs — k = 2 on 30 items fires inside its first chunk, k = 70 on 400
-   items past it.  Its in-flight job must surface as Crashed (with the
-   signal named), every other job must still complete on the respawned
-   or surviving workers. *)
-let check_kill_surfaces_as_crash map_killing =
+   jobs — k = 0 on 60 items before it completes anything, k = 2 on 30
+   items inside its first chunk, k = 70 on 400 items past it.  Its
+   in-flight job must surface as Crashed (with the signal named); every
+   other job, its unanswered chunks included, must still complete on the
+   respawned or surviving workers. *)
+let test_procpool_kill_surfaces_as_crash () =
   List.iter
     (fun (k, n) ->
-      let results = map_killing ~k (fun i -> i * 3) (Array.init n Fun.id) in
+      let results =
+        Procpool.map ~workers:2 ~kill_first_worker_after:k
+          (fun i -> i * 3)
+          (Array.init n Fun.id)
+      in
       let crashed = ref 0 in
       Array.iteri
         (fun i -> function
@@ -126,11 +131,7 @@ let check_kill_surfaces_as_crash map_killing =
               Alcotest.fail ("kill surfaced as Raised: " ^ msg))
         results;
       Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed)
-    [ (2, 30); (70, 400) ]
-
-let test_procpool_kill_surfaces_as_crash () =
-  check_kill_surfaces_as_crash (fun ~k f a ->
-      Procpool.map ~workers:2 ~kill_first_worker_after:k f a)
+    [ (0, 60); (2, 30); (70, 400) ]
 
 let test_procpool_rejects_bad_workers () =
   match Procpool.map ~workers:0 (fun i -> i) [| 1 |] with
@@ -195,17 +196,16 @@ let test_shard_on_result_once_per_index () =
     indices;
   Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
 
-let test_shard_kill_surfaces_as_crash () =
-  check_kill_surfaces_as_crash (fun ~k f a ->
-      Shard.map ~nodes:2 ~kill_first_node_after:k f a)
-
 let test_shard_orphaned_shard_migrates () =
-  (* Kill the first node before it completes anything: both of its
-     chunks, minus the one casualty, must return to the cursor and still
-     complete — no queued job is ever lost with a node. *)
+  (* The node that takes index 0 SIGKILLs itself there, before it
+     completes anything: both of its chunks, minus the one casualty,
+     must return to the cursor and still complete — no queued job is
+     ever lost with a node. *)
   let results =
-    Shard.map ~nodes:3 ~kill_first_node_after:0
-      (fun i -> i + 100)
+    Shard.map ~nodes:3
+      (fun i ->
+        if i = 0 then Unix.kill (Unix.getpid ()) Sys.sigkill;
+        i + 100)
       (Array.init 60 (fun i -> i))
   in
   let crashed = ref 0 in
@@ -221,40 +221,29 @@ let test_crash_attribution_exact () =
      an early chunk, mid-array, last — must cost exactly that index:
      whatever the chunking, the job the worker was running is the
      casualty and every other index completes with its value. *)
-  let maps =
-    [
-      ("procpool", fun ~workers f a -> Procpool.map ~workers f a);
-      ("shard", fun ~workers f a -> Shard.map ~nodes:workers f a);
-    ]
-  in
   List.iter
-    (fun (name, map) ->
+    (fun victim ->
       List.iter
-        (fun victim ->
-          List.iter
-            (fun workers ->
-              let work i =
-                if i = victim then Unix.kill (Unix.getpid ()) Sys.sigkill;
-                i * 7
+        (fun workers ->
+          let work i =
+            if i = victim then Unix.kill (Unix.getpid ()) Sys.sigkill;
+            i * 7
+          in
+          let results = Procpool.map ~workers work (Array.init 200 Fun.id) in
+          Array.iteri
+            (fun i r ->
+              let tag =
+                Printf.sprintf "workers=%d victim=%d index %d" workers victim i
               in
-              let results = map ~workers work (Array.init 200 Fun.id) in
-              Array.iteri
-                (fun i r ->
-                  let tag =
-                    Printf.sprintf "%s workers=%d victim=%d index %d" name
-                      workers victim i
-                  in
-                  match r with
-                  | Stdlib.Ok v when i <> victim ->
-                      Alcotest.(check int) tag (i * 7) v
-                  | Stdlib.Error (Procpool.Crashed _) when i = victim -> ()
-                  | Stdlib.Ok _ -> Alcotest.fail (tag ^ ": victim survived")
-                  | Stdlib.Error f ->
-                      Alcotest.fail (tag ^ ": " ^ Procpool.failure_to_string f))
-                results)
-            [ 1; 2; 3 ])
-        [ 0; 37; 130; 199 ])
-    maps
+              match r with
+              | Stdlib.Ok v when i <> victim -> Alcotest.(check int) tag (i * 7) v
+              | Stdlib.Error (Procpool.Crashed _) when i = victim -> ()
+              | Stdlib.Ok _ -> Alcotest.fail (tag ^ ": victim survived")
+              | Stdlib.Error f ->
+                  Alcotest.fail (tag ^ ": " ^ Procpool.failure_to_string f))
+            results)
+        [ 1; 2; 3 ])
+    [ 0; 37; 130; 199 ]
 
 let test_shard_rejects_bad_nodes () =
   match Shard.map ~nodes:0 (fun i -> i) [| 1 |] with
@@ -264,22 +253,20 @@ let test_shard_rejects_bad_nodes () =
 (* --- differential: processes backend vs domains backend ---------------- *)
 
 (* One full tune under a given backend and jobs count, with a logical
-   trace attached: returns the algorithm's result and the trace bytes.
-   The engine is created explicitly so the trace and telemetry are ours
-   to inspect. *)
-let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ?policy
-    ?(pool_size = 24) ~backend ~jobs algo =
+   trace attached (and, given a path, a checkpoint): returns the
+   algorithm's result, the trace bytes and the engine.  The engine is
+   created explicitly so the trace and telemetry are ours to inspect. *)
+let run_algo ?kill_workers_after ?checkpoint ?policy ?(pool_size = 24)
+    ~backend ~jobs algo =
   let trace = Trace.create ~clock:Trace.Logical () in
   let checkpoint =
-    Option.map
-      (fun (path, format) -> Ft_engine.Checkpoint.create ~path ~format ())
-      checkpoint
+    Option.map (fun path -> Ft_engine.Checkpoint.create ~path ()) checkpoint
   in
   (* [jobs] doubles as the node count: each backend reads its own knob
      and ignores the other, so one matrix covers both. *)
   let engine =
-    Engine.create ~jobs ~nodes:jobs ~backend ?kill_workers_after
-      ?kill_node_after ?checkpoint ?policy ~trace ()
+    Engine.create ~jobs ~nodes:jobs ~backend ?kill_workers_after ?checkpoint
+      ?policy ~trace ()
   in
   let session =
     Tuner.make_session ~pool_size ~engine ~platform ~program:swim
@@ -318,9 +305,7 @@ let check_differential algo name =
       (Backend.Processes, 1);
       (Backend.Processes, 2);
       (Backend.Processes, 4);
-      (Backend.Sharded, 1);
       (Backend.Sharded, 2);
-      (Backend.Sharded, 4);
     ]
 
 let test_differential_cfr () = check_differential `Cfr "cfr"
@@ -350,16 +335,16 @@ let test_differential_survives_worker_kills () =
     (s.Telemetry.worker_crashes > 0)
 
 let test_differential_survives_node_kills () =
-  (* The sharded acceptance property end-to-end: SIGKILL the first node
-     on the first round of every batch — returning its unanswered chunks
-     to the cursor each time — and the tune must still be
-     byte-identical, result and logical trace, to an uninterrupted
-     domains -j1 run. *)
+  (* The sharded acceptance property end-to-end, under the same hook:
+     SIGKILL the first node on the first round of every batch —
+     returning its unanswered chunks to the cursor each time — and the
+     tune must still be byte-identical, result and logical trace, to an
+     uninterrupted domains -j1 run. *)
   let base_result, base_bytes, _ =
     run_algo ~backend:Backend.Domains ~jobs:1 `Cfr
   in
   let result, bytes, engine =
-    run_algo ~backend:Backend.Sharded ~jobs:4 ~kill_node_after:3 `Cfr
+    run_algo ~backend:Backend.Sharded ~jobs:4 ~kill_workers_after:3 `Cfr
   in
   Alcotest.(check bool) "result identical despite node kills" true
     (result = base_result);
@@ -387,77 +372,55 @@ let test_faulted_differential_full_chunks () =
   let base_quar = Quarantine.bindings (Engine.quarantine base_engine) in
   Alcotest.(check bool) "the fault model quarantined something" true
     (base_quar <> []);
-  List.iter
-    (fun backend ->
-      let result, bytes, engine = run backend 2 in
-      let tag = Backend.to_name backend ^ "/2" in
-      Alcotest.(check bool)
-        (tag ^ ": result bit-identical to domains -j1")
-        true (result = base_result);
-      Alcotest.(check string)
-        (tag ^ ": logical trace byte-identical to domains -j1")
-        base_bytes bytes;
-      Alcotest.(check bool)
-        (tag ^ ": quarantine bindings equal domains -j1")
-        true
-        (Quarantine.bindings (Engine.quarantine engine) = base_quar))
-    [ Backend.Processes; Backend.Sharded ]
+  let result, bytes, engine = run Backend.Processes 2 in
+  Alcotest.(check bool) "result bit-identical to domains -j1" true
+    (result = base_result);
+  Alcotest.(check string) "logical trace byte-identical to domains -j1"
+    base_bytes bytes;
+  Alcotest.(check bool) "quarantine bindings equal domains -j1" true
+    (Quarantine.bindings (Engine.quarantine engine) = base_quar)
 
-(* --- differential: text vs binary cache format -------------------------- *)
+(* --- differential: checkpointed runs ------------------------------------ *)
 
-(* The on-disk cache format must be invisible to the search: for the same
-   algorithm, results and logical traces are byte-identical whether the
-   checkpoint is written as v1 text or v2 binary, at any backend and jobs
-   count — and the two checkpoint files, though byte-different on disk,
-   load to semantically identical caches.  Each leg runs in a forked
-   child: a domains leg at jobs > 1 spawns domains, after which this
-   process could no longer fork the later tests' workers. *)
+(* The on-disk checkpoint format must be invisible to the search and
+   independent of the backend: with a checkpoint attached, results and
+   logical traces are byte-identical to a checkpointed domains -j1 run
+   at any backend and jobs count, and every flushed checkpoint loads to
+   the same bindings.  Each leg runs in a forked child: a domains leg at
+   jobs > 1 spawns domains, after which this process could no longer
+   fork the later tests' workers. *)
 let check_format_differential configs algo name =
   let dir = Test_helpers.temp_dir "format-diff" in
   Fun.protect
     ~finally:(fun () -> Test_helpers.remove_tree dir)
     (fun () ->
-      let run i format backend jobs =
+      let run i backend jobs =
         Test_helpers.in_child (fun () ->
             let path = Filename.concat dir (Printf.sprintf "ck-%d.cache" i) in
             let result, bytes, _ =
-              run_algo ~checkpoint:(path, format) ~backend ~jobs algo
+              run_algo ~checkpoint:path ~backend ~jobs algo
             in
             (result, bytes, Cache.bindings (quiet_load path)))
       in
-      let base_result, base_bytes, base_cache =
-        run 0 Cache.Text Backend.Domains 1
-      in
+      let base_result, base_bytes, base_cache = run 0 Backend.Domains 1 in
       List.iteri
         (fun i (backend, jobs) ->
           let tag =
             Printf.sprintf "%s %s -j%d" name (Backend.to_name backend) jobs
           in
-          let text_result, text_bytes, text_cache =
-            run ((2 * i) + 1) Cache.Text backend jobs
-          in
-          let bin_result, bin_bytes, bin_cache =
-            run ((2 * i) + 2) Cache.Binary backend jobs
-          in
-          Alcotest.(check bool)
-            (tag ^ ": text result = binary result = baseline")
-            true
-            (text_result = base_result && bin_result = base_result);
-          Alcotest.(check string)
-            (tag ^ ": text trace byte-identical to binary trace")
-            text_bytes bin_bytes;
+          let result, bytes, cache = run (i + 1) backend jobs in
+          Alcotest.(check bool) (tag ^ ": result = baseline") true
+            (result = base_result);
           Alcotest.(check string)
             (tag ^ ": trace byte-identical to baseline")
-            base_bytes bin_bytes;
+            base_bytes bytes;
           Alcotest.(check bool)
-            (tag ^ ": checkpoint caches semantically identical across formats")
-            true
-            (text_cache = bin_cache && bin_cache = base_cache))
+            (tag ^ ": checkpoint loads to the baseline's bindings")
+            true (cache = base_cache))
         configs)
 
 let full_matrix =
   [
-    (Backend.Domains, 1);
     (Backend.Domains, 2);
     (Backend.Domains, 4);
     (Backend.Processes, 1);
@@ -468,8 +431,8 @@ let full_matrix =
   ]
 
 (* CFR gets the full jobs/backend matrix; the other algorithms spot-check
-   the extremes (sequential domains, parallel domains, parallel
-   processes) to keep the suite's runtime in check. *)
+   parallel domains, processes and sharded against the sequential
+   domains baseline to keep the suite's runtime in check. *)
 let spot_matrix =
   [ (Backend.Domains, 4); (Backend.Processes, 4); (Backend.Sharded, 4) ]
 
@@ -548,36 +511,6 @@ let test_worker_crash_retries_recover () =
   Alcotest.(check int) "no crash survives to quarantine" 0
     (Quarantine.length (Engine.quarantine engine))
 
-let test_node_crash_exhausts_to_outcome () =
-  (* Sharded sibling of the worker-crash test: with no retry budget, a
-     killed node's running job surfaces as the typed Worker_crashed
-     outcome while the rest of its chunks still complete. *)
-  let policy = { Engine.default_policy with Engine.max_retries = 0 } in
-  let engine =
-    Engine.create ~backend:Backend.Sharded ~nodes:2 ~kill_node_after:0
-      ~policy ()
-  in
-  let outcomes =
-    Engine.try_measure_batch engine ~toolchain ~program:swim ~input
-      (sample_jobs 8)
-  in
-  let crashed = ref 0 in
-  Array.iter
-    (function
-      | Engine.Worker_crashed detail ->
-          incr crashed;
-          Alcotest.(check bool) "crash detail carried" true
-            (String.length detail > 0)
-      | Engine.Ok _ -> ()
-      | o -> Alcotest.fail ("unexpected outcome: " ^ Engine.outcome_to_string o))
-    outcomes;
-  Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
-  Alcotest.(check int) "telemetry counts the crash" 1
-    s.Telemetry.worker_crashes;
-  Alcotest.(check bool) "crashed key quarantined" true
-    (Quarantine.length (Engine.quarantine engine) > 0)
-
 let test_worker_crashes_derivable_from_trace () =
   (* Crashes are wall-trace events like every other counter: deriving
      counters from the trace must reproduce telemetry exactly, kills
@@ -654,8 +587,8 @@ let test_cache_sync_concurrent_writers () =
 
 let test_v1_to_v2_migration () =
   (* A v1 text cache (an old checkpoint or --warm-start file) must be
-     adopted wholesale by a binary-writer sync and migrated to v2 in
-     place, losing nothing. *)
+     adopted wholesale by a sync and migrated to v2 in place, losing
+     nothing. *)
   let dir = Test_helpers.temp_dir "migrate" in
   let path = Filename.concat dir "c.cache" in
   Fun.protect
@@ -664,9 +597,8 @@ let test_v1_to_v2_migration () =
       let old_entries =
         List.init 20 (fun k -> (Printf.sprintf "v1-key-%d" k, summary_of_seed k))
       in
-      let old = Cache.create () in
-      List.iter (fun (k, s) -> Cache.add old k s) old_entries;
-      Cache.save ~format:Cache.Text old ~path;
+      Test_helpers.write_file path
+        (Test_helpers.read_file Test_helpers.v1_cache_fixture);
       Alcotest.(check bool) "v1 text on disk" true
         (Ft_engine.Cache_codec.detect (Test_helpers.read_file path) = `Text);
       let fresh = Cache.create () in
@@ -997,28 +929,26 @@ let suite =
         test_procpool_kill_surfaces_as_crash;
       Alcotest.test_case "procpool rejects workers=0" `Quick
         test_procpool_rejects_bad_workers;
-      Alcotest.test_case "shard preserves order under stealing" `Quick
+      Alcotest.test_case "shard preserves order under skewed work" `Quick
         test_shard_map_in_order;
       Alcotest.test_case "shard isolates raised exceptions" `Quick
         test_shard_raised_is_isolated;
       Alcotest.test_case "shard on_result once per index" `Quick
         test_shard_on_result_once_per_index;
-      Alcotest.test_case "shard kill surfaces as crash" `Quick
-        test_shard_kill_surfaces_as_crash;
       Alcotest.test_case "shard orphaned queue migrates" `Quick
         test_shard_orphaned_shard_migrates;
       Alcotest.test_case "shard rejects nodes=0" `Quick
         test_shard_rejects_bad_nodes;
       Alcotest.test_case "crash costs exactly the running job" `Quick
         test_crash_attribution_exact;
-      Alcotest.test_case "cfr differential (procs+shard 1/2/4)" `Quick
+      Alcotest.test_case "cfr differential (procs+shard vs domains)" `Quick
         test_differential_cfr;
-      Alcotest.test_case "fr differential (procs+shard 1/2/4)" `Quick
+      Alcotest.test_case "fr differential (procs+shard vs domains)" `Quick
         test_differential_fr;
-      Alcotest.test_case "random differential (procs+shard 1/2/4)" `Quick
+      Alcotest.test_case "random differential (procs+shard vs domains)" `Quick
         test_differential_random;
-      Alcotest.test_case "adaptive-sh differential (procs+shard 1/2/4)" `Quick
-        test_differential_adaptive_sh;
+      Alcotest.test_case "adaptive-sh differential (procs+shard vs domains)"
+        `Quick test_differential_adaptive_sh;
       Alcotest.test_case "differential survives worker kills" `Quick
         test_differential_survives_worker_kills;
       Alcotest.test_case "differential survives node kills" `Quick
@@ -1037,8 +967,6 @@ let suite =
         test_worker_crash_exhausts_to_outcome;
       Alcotest.test_case "worker crash retries recover bit-identically" `Quick
         test_worker_crash_retries_recover;
-      Alcotest.test_case "node crash exhausts to typed outcome" `Quick
-        test_node_crash_exhausts_to_outcome;
       Alcotest.test_case "worker crashes derivable from wall trace" `Quick
         test_worker_crashes_derivable_from_trace;
       Alcotest.test_case "concurrent Cache.sync writers union" `Quick

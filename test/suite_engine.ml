@@ -162,18 +162,9 @@ let test_cache_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      (* Both on-disk formats must round-trip bit-exactly; load
-         auto-detects which one it was handed. *)
-      List.iter
-        (fun format ->
-          Cache.save ~format cache ~path;
-          let reloaded = Cache.load path in
-          Alcotest.(check bool)
-            (Cache.format_to_string format
-            ^ " save/load round-trip is bit-exact")
-            true
-            (Cache.bindings cache = Cache.bindings reloaded))
-        [ Cache.Text; Cache.Binary ])
+      Cache.save cache ~path;
+      Alcotest.(check bool) "save/load round-trip is bit-exact" true
+        (Cache.bindings cache = Cache.bindings (Cache.load path)))
 
 let test_cache_load_rejects_garbage () =
   let path = Filename.temp_file "ft_cache" ".tsv" in
@@ -191,27 +182,22 @@ let test_cache_load_rejects_garbage () =
 let test_cache_load_skips_malformed_entries () =
   (* After a valid v1 magic line, a torn entry (e.g. a crash mid-write
      before Cache.save became atomic) is skipped and reported, not
-     fatal.  Pinned to the text format: the torn line is a text-era
+     fatal.  Pinned to the v1 fixture: the torn line is a text-era
      artifact (its binary counterpart is the next test). *)
-  let engine = Engine.create () in
-  List.iter
-    (fun b -> ignore (Engine.summary engine ~toolchain ~program ~input b))
-    some_builds;
   let path = Filename.temp_file "ft_cache" ".tsv" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Cache.save ~format:Cache.Text (Engine.cache engine) ~path;
-      let oc = open_out_gen [ Open_append ] 0o600 path in
-      output_string oc "torn\tentry\n";
-      close_out oc;
+      Test_helpers.write_file path
+        (Test_helpers.read_file Test_helpers.v1_cache_fixture
+        ^ "torn\tentry\n");
       let warned = ref [] in
       let reloaded =
         Cache.load ~warn:(fun ~line ~reason -> warned := (line, reason) :: !warned) path
       in
-      Alcotest.(check int) "valid entries survive" 6 (Cache.length reloaded);
+      Alcotest.(check int) "valid entries survive" 20 (Cache.length reloaded);
       Alcotest.(check int) "exactly one warning" 1 (List.length !warned);
-      Alcotest.(check int) "warning points at the torn line" 8
+      Alcotest.(check int) "warning points at the torn line" 22
         (fst (List.hd !warned)))
 
 let test_binary_cache_tolerates_torn_tail () =
@@ -226,7 +212,7 @@ let test_binary_cache_tolerates_torn_tail () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Cache.save ~format:Cache.Binary (Engine.cache engine) ~path;
+      Cache.save (Engine.cache engine) ~path;
       let oc = open_out_gen [ Open_append; Open_binary ] 0o600 path in
       output_string oc "torn\tentry\n";
       close_out oc;

@@ -417,6 +417,28 @@ let test_missing_commit_record_warns () =
        (fun r -> Test_helpers.contains r "no commit record")
        !warnings)
 
+let test_text_era_checkpoint_resumes () =
+  (* A checkpoint left by the v1 text writer (no commit record either)
+     must resume with every entry, and the next flush rewrites it in the
+     binary format without losing or changing one. *)
+  with_checkpoint_path @@ fun path ->
+  Test_helpers.write_file path
+    (Test_helpers.read_file Test_helpers.v1_cache_fixture);
+  let expected = Cache.bindings (Cache.load Test_helpers.v1_cache_fixture) in
+  let ck = Checkpoint.create ~path () in
+  match Checkpoint.load ~warn:(fun ~line:_ ~reason:_ -> ()) ck with
+  | None -> Alcotest.fail "a text-era checkpoint must resume"
+  | Some (cache, quarantine) ->
+      Alcotest.(check int) "every v1 entry resumed" 20 (Cache.length cache);
+      Alcotest.(check bool) "resumed bindings equal the v1 file's" true
+        (Cache.bindings cache = expected);
+      Checkpoint.flush ck ~cache ~quarantine;
+      let rewritten = Test_helpers.read_file path in
+      Alcotest.(check bool) "rewritten as binary" true
+        (Ft_engine.Cache_codec.detect rewritten = `Binary);
+      Alcotest.(check bool) "binary snapshot holds the same bindings" true
+        (Cache.bindings (Cache.load path) = expected)
+
 let test_concurrent_tick_saves_serialize () =
   (* Four domains racing [tick ~every:1]: every save transaction must run
      to completion before the next begins — the stage log is a sequence of
@@ -547,6 +569,8 @@ let suite =
         test_torn_save_is_caught;
       Alcotest.test_case "missing commit record warns" `Quick
         test_missing_commit_record_warns;
+      Alcotest.test_case "text-era checkpoint resumes as binary" `Quick
+        test_text_era_checkpoint_resumes;
       Alcotest.test_case "concurrent tick saves serialize" `Quick
         test_concurrent_tick_saves_serialize;
       Alcotest.test_case "searches complete under faults" `Quick
