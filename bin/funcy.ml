@@ -6,7 +6,7 @@
      decisions    per-region code-generation decisions for a CV
      tune         run one tuning algorithm on one benchmark/platform
      selfcheck    differential checkpoint/resume equivalence oracle
-     experiment   regenerate paper tables/figures (same ids as bench/main)
+     experiment   regenerate paper tables/figures (the evaluation driver)
      report       summarize a run from its --trace file *)
 
 open Cmdliner
@@ -851,11 +851,16 @@ let selfcheck_cmd =
 
 (* --- experiment ------------------------------------------------------- *)
 
+(* Every experiment id, in the order a run with no id executes them. *)
 let experiment_names =
   [
     "tab1"; "tab2"; "fig1"; "fig5a"; "fig5b"; "fig5c"; "fig6"; "fig7a";
-    "fig7b"; "fig8"; "fig9"; "tab3"; "ablations"; "faults";
+    "fig7b"; "fig8"; "fig9"; "tab3"; "ablations"; "adaptive"; "faults";
   ]
+
+(* "faults" sweeps fault rates on engines of its own, so a run with no id
+   leaves it out. *)
+let default_experiments = List.filter (( <> ) "faults") experiment_names
 
 let experiment_cmd =
   let csv_dir_t =
@@ -864,7 +869,8 @@ let experiment_cmd =
       & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR"
           ~doc:
-            "Also write each figure-shaped experiment as CSV into $(docv)              (created if missing).")
+            "Also write each figure-shaped experiment as CSV into $(docv) \
+             (created if missing, parents included).")
   in
   let experiment_arg =
     (* Validated up front so a typo is a usage error with the valid names,
@@ -883,11 +889,23 @@ let experiment_cmd =
     Arg.(
       value & pos_all experiment_arg []
       & info [] ~docv:"EXPERIMENT"
-          ~doc:"fig1 fig5a fig5b fig5c fig6 fig7a fig7b fig8 fig9 tab1 tab2 \
-                tab3 ablations faults (default: fig5c).")
+          ~doc:
+            (Printf.sprintf "%s (default: all of them but faults)."
+               (String.concat " " experiment_names)))
   in
   let run seed pool jobs backend kill_workers nodes shared_cache stats
       resilience tspec csv_dir names =
+    (* Created before any work, so a bad directory cannot cost a run. *)
+    Option.iter
+      (fun dir ->
+        let fail msg =
+          Printf.eprintf "funcy experiment: --csv-dir %s: %s\n" dir msg;
+          exit 1
+        in
+        match Ft_engine.Atomic_file.mkdir_p dir with
+        | () -> if not (Sys.is_directory dir) then fail "not a directory"
+        | exception Unix.Unix_error (err, _, _) -> fail (Unix.error_message err))
+      csv_dir;
     let trace = make_trace tspec in
     let engine =
       make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
@@ -904,7 +922,6 @@ let experiment_cmd =
       match csv_dir with
       | None -> ()
       | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let path = Filename.concat dir (name ^ ".csv") in
           Csv.write ~path series;
           Printf.printf "(wrote %s)\n" path
@@ -916,7 +933,15 @@ let experiment_cmd =
       | "fig5a" -> emit "fig5a" (Fig5.panel lab Platform.Opteron)
       | "fig5b" -> emit "fig5b" (Fig5.panel lab Platform.Sandy_bridge)
       | "fig5c" -> emit "fig5c" (Fig5.panel lab Platform.Broadwell)
-      | "fig6" -> emit "fig6" (Fig6.run lab)
+      | "fig6" ->
+          emit "fig6" (Fig6.run lab);
+          (* The paper's "PGO fails" claim: which programs' runs failed. *)
+          List.iter
+            (fun p ->
+              Option.iter
+                (Printf.printf "  note: %s\n")
+                (Lab.pgo lab p).Ft_baselines.Pgo_driver.diagnostic)
+            Ft_suite.Suite.all
       | "fig7a" -> emit "fig7a" (Fig7.panel lab ~small:true)
       | "fig7b" -> emit "fig7b" (Fig7.panel lab ~small:false)
       | "fig8" -> emit "fig8" (Fig8.run lab)
@@ -933,6 +958,7 @@ let experiment_cmd =
           Ft_util.Table.print (Ablations.adaptive_budget lab);
           emit "elimination" (Ablations.elimination_variants lab);
           Ft_util.Table.print (Ablations.critical_flags_table lab)
+      | "adaptive" -> Ft_util.Table.print (Ablations.quality_vs_budget lab)
       | _ ->
           (* unreachable: names are validated by [experiment_arg] *)
           assert false
@@ -943,7 +969,7 @@ let experiment_cmd =
         export_trace tspec trace;
         maybe_stats stats (Ft_experiments.Lab.telemetry lab))
     @@ fun () ->
-    List.iter dispatch (match names with [] -> [ "fig5c" ] | n -> n)
+    List.iter dispatch (match names with [] -> default_experiments | n -> n)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables and figures")

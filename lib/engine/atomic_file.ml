@@ -56,3 +56,9 @@ let sweep ?grace_s ~path () =
       | exception Sys_error _ -> removed)
     0
     (stale_tmp_files ?grace_s ~path ())
+
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
+  end

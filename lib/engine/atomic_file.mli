@@ -35,3 +35,10 @@ val sweep : ?grace_s:float -> path:string -> unit -> int
     anything not matching the temporary naming pattern; removal races
     are tolerated (the loser counts nothing).  Callers that share [path]
     across processes should hold the sidecar lock, as {!Cache} does. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and any missing parents (mode 0o755), like
+    [mkdir -p]; an existing path is left as it is.  A creation race with
+    another process is tolerated.
+    @raise Unix.Unix_error if a component cannot be created (for
+    instance a parent is a regular file, or permission is denied). *)

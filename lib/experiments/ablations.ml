@@ -130,66 +130,31 @@ let adaptive_budget lab =
     Ft_suite.Suite.all;
   table
 
-type budget_point = { budget : int; evaluations : int; speedup : float }
-
-type quality_curve = {
-  benchmark : string;
-  cfr_speedup : float;
-  cfr_evaluations : int;
-  points : budget_point list;
-}
-
-let quality_vs_budget ?(divisors = [ 16; 8; 4; 2 ]) lab =
-  let divisors = List.sort_uniq (fun a b -> compare b a) divisors in
+let quality_vs_budget lab =
   let k = Lab.pool_size lab in
-  List.map
-    (fun (p : Program.t) ->
-      let session = Lab.session lab Platform.Broadwell p in
-      let collection = Lazy.force session.Tuner.collection in
-      let cfr = (Lab.report lab Platform.Broadwell p).Tuner.cfr in
-      let points =
-        List.map
-          (fun d ->
-            let budget = max 2 (k / d) in
-            let r =
-              Funcytuner.Adaptive_sh.run ~budget session.Tuner.ctx collection
-            in
-            {
-              budget;
-              evaluations = r.Result.evaluations;
-              speedup = r.Result.speedup;
-            })
-          divisors
-      in
-      {
-        benchmark = p.Program.name;
-        cfr_speedup = cfr.Result.speedup;
-        cfr_evaluations = cfr.Result.evaluations;
-        points;
-      })
-    Ft_suite.Suite.all
-
-let quality_vs_budget_table curves =
-  let columns =
-    match curves with
-    | [] -> []
-    | c :: _ ->
-        List.map (fun pt -> Printf.sprintf "SH@%d" pt.budget) c.points
-  in
+  let budgets = List.map (fun d -> max 2 (k / d)) [ 16; 8; 4; 2 ] in
   let table =
     Ft_util.Table.create
       ~title:
         "Quality vs budget: adaptive-sh at K/16..K/2 measurements vs \
          full-budget CFR (Broadwell)"
-      (("Benchmark" :: columns) @ [ "CFR (full)" ])
+      (("Benchmark" :: List.map (Printf.sprintf "SH@%d") budgets)
+      @ [ "CFR (full)" ])
   in
   List.iter
-    (fun c ->
+    (fun (p : Program.t) ->
+      let session = Lab.session lab Platform.Broadwell p in
+      let collection = Lazy.force session.Tuner.collection in
+      let cfr = (Lab.report lab Platform.Broadwell p).Tuner.cfr in
+      let sh budget =
+        (Funcytuner.Adaptive_sh.run ~budget session.Tuner.ctx collection)
+          .Result.speedup
+      in
       Ft_util.Table.add_row table
-        ((c.benchmark
-          :: List.map (fun pt -> Ft_util.Table.fmt_f pt.speedup) c.points)
-        @ [ Ft_util.Table.fmt_f c.cfr_speedup ]))
-    curves;
+        ((p.Program.name
+         :: List.map (fun b -> Ft_util.Table.fmt_f (sh b)) budgets)
+        @ [ Ft_util.Table.fmt_f cfr.Result.speedup ]))
+    Ft_suite.Suite.all;
   table
 
 let elimination_variants lab =

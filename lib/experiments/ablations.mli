@@ -32,35 +32,15 @@ val adaptive_budget : Lab.t -> Ft_util.Table.t
     early-stopping CFR ({!Funcytuner.Adaptive}) — achieved speedup and
     evaluations actually spent, per benchmark on Broadwell. *)
 
+val quality_vs_budget : Lab.t -> Ft_util.Table.t
+(** The adaptive-allocation claim, measured: successive-halving CFR
+    ({!Funcytuner.Adaptive_sh}) at budgets K/16, K/8, K/4 and K/2 (K is
+    the lab pool size, exactly full CFR's budget) against the
+    full-budget CFR reference, per benchmark on Broadwell.  The K/4
+    point is the tier-1 contract — within 2% of CFR — the smaller ones
+    show where the curve falls off. *)
+
 val elimination_variants : Lab.t -> Series.t
 (** Pan & Eigenmann's three elimination algorithms (BE / IE / CE) on the
     Fig. 1 benchmarks with the ICC personality — how much the "combined"
     refinement matters at per-program granularity. *)
-
-(** {2 Quality vs budget}
-
-    The adaptive-allocation claim, measured: successive-halving CFR
-    ({!Funcytuner.Adaptive_sh}) run at a sweep of measurement budgets
-    (fractions of the lab pool size K, which is exactly full CFR's
-    budget) against the full-budget CFR reference.  The K/4 point is the
-    tier-1 contract — within 2% of CFR — the smaller ones show where the
-    curve falls off. *)
-
-type budget_point = {
-  budget : int;  (** allocator budget handed to adaptive-sh *)
-  evaluations : int;  (** measurements actually spent (budget + 1) *)
-  speedup : float;
-}
-
-type quality_curve = {
-  benchmark : string;
-  cfr_speedup : float;
-  cfr_evaluations : int;
-  points : budget_point list;  (** ascending budget *)
-}
-
-val quality_vs_budget : ?divisors:int list -> Lab.t -> quality_curve list
-(** One curve per benchmark on Broadwell; budgets are [K / d] for [d] in
-    [divisors] (default [[16; 8; 4; 2]]), ascending. *)
-
-val quality_vs_budget_table : quality_curve list -> Ft_util.Table.t

@@ -419,12 +419,6 @@ let claim_socket path =
         (try Sys.remove path with Sys_error _ -> ())
   end
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
-  end
-
 let journal_path state_dir = Filename.concat state_dir "journal"
 
 (* Boot-time recovery: replay the journal, seed the durable memo, mark
@@ -495,7 +489,7 @@ let serve ?trace ?telemetry ?on_ready config runner =
     match config.state_dir with
     | None -> (None, Journal.empty_replay)
     | Some dir ->
-        mkdir_p dir;
+        Ft_engine.Atomic_file.mkdir_p dir;
         let path = journal_path dir in
         let warn ~line ~reason =
           Printf.eprintf "serve: journal %s line %d: %s\n%!" path line reason

@@ -246,6 +246,22 @@ let test_cache_save_is_atomic () =
         "only the cache file remains" [ "cache.tsv" ]
         (Array.to_list (Sys.readdir dir)))
 
+let test_mkdir_p () =
+  (* Parents are created; an existing directory and its contents are
+     left as they are. *)
+  let root = Test_helpers.temp_dir "mkdir-p" in
+  let nested = Filename.concat (Filename.concat root "a") "b" in
+  let marker = Filename.concat nested "keep" in
+  Fun.protect
+    ~finally:(fun () -> Test_helpers.remove_tree root)
+    (fun () ->
+      Ft_engine.Atomic_file.mkdir_p nested;
+      Alcotest.(check bool) "nested path created" true (Sys.is_directory nested);
+      Test_helpers.write_file marker "kept";
+      Ft_engine.Atomic_file.mkdir_p nested;
+      Alcotest.(check string) "existing path untouched" "kept"
+        (Test_helpers.read_file marker))
+
 let test_cache_hit_counting () =
   let engine = Engine.create () in
   let build = List.hd some_builds in
@@ -399,6 +415,7 @@ let suite =
         test_binary_cache_tolerates_torn_tail;
       Alcotest.test_case "cache save is atomic" `Quick
         test_cache_save_is_atomic;
+      Alcotest.test_case "mkdir_p creates parents" `Quick test_mkdir_p;
       Alcotest.test_case "cache hit counting" `Quick test_cache_hit_counting;
       Alcotest.test_case "preloaded cache changes nothing" `Quick
         test_preloaded_cache_changes_nothing;

@@ -133,6 +133,31 @@ let test_tab3_contains_o3_row () =
   Alcotest.(check bool) "kernel ratios present" true
     (Test_helpers.contains text "6.3")
 
+let test_adaptive_structure () =
+  let l = Lazy.force lab in
+  let text = Ft_util.Table.render (Ft_experiments.Ablations.quality_vs_budget l) in
+  let rows =
+    List.filter
+      (fun line -> String.length line > 0 && line.[0] = '|')
+      (String.split_on_char '\n' text)
+  in
+  let cells line =
+    List.filter (( <> ) "")
+      (List.map String.trim (String.split_on_char '|' line))
+  in
+  (* K = 150: budgets K/16, K/8, K/4, K/2. *)
+  Alcotest.(check (list string)) "header"
+    [ "Benchmark"; "SH@9"; "SH@18"; "SH@37"; "SH@75"; "CFR (full)" ]
+    (cells (List.hd rows));
+  Alcotest.(check int) "one row per program"
+    (List.length Ft_suite.Suite.all)
+    (List.length rows - 1);
+  List.iter
+    (fun (p : Program.t) ->
+      Alcotest.(check bool) (p.Program.name ^ " row") true
+        (Test_helpers.contains text ("| " ^ p.Program.name ^ " ")))
+    Ft_suite.Suite.all
+
 let test_fig7_row_width () =
   let l = Lazy.force lab in
   let program = Option.get (Ft_suite.Suite.find "363.swim") in
@@ -159,5 +184,6 @@ let suite =
       Alcotest.test_case "fig5 panel structure" `Slow test_fig5_panel_structure;
       Alcotest.test_case "fig9 structure" `Slow test_fig9_structure;
       Alcotest.test_case "tab3 structure" `Slow test_tab3_contains_o3_row;
+      Alcotest.test_case "adaptive structure" `Slow test_adaptive_structure;
       Alcotest.test_case "fig7 row" `Slow test_fig7_row_width;
     ] )
