@@ -161,7 +161,10 @@ smoke-adaptive: build
 #   2. a zipfian loadgen burst completes with zero protocol errors and
 #      zero byte divergence (loadgen exits 1 otherwise);
 #   3. a protocol shutdown drains the daemon cleanly (exit 0), and
-#      `funcy report` renders the server section from its trace.
+#      `funcy report` renders the server section from its trace;
+#   4. a second --jobs 2 daemon, whose pool keeps a parked helper domain
+#      between searches, serves one search and drains on SIGTERM (exit 0
+#      within 10 s).  One shell line, so `$!` and `wait` see its pid.
 smoke-serve: build
 	rm -f _build/smoke-serve.sock
 	$(FUNCY) serve -s _build/smoke-serve.sock --jobs 2 \
@@ -181,7 +184,17 @@ smoke-serve: build
 	  kill -0 `cat _build/smoke-serve.pid` 2>/dev/null || break; sleep 0.1; done; \
 	  ! kill -0 `cat _build/smoke-serve.pid` 2>/dev/null
 	$(FUNCY) report _build/smoke-serve.jsonl | grep -q "Server requests"
-	@echo "smoke-serve OK: served bytes = solo bytes, loadgen clean, drained on shutdown"
+	rm -f _build/smoke-serve-term.sock
+	$(FUNCY) serve -s _build/smoke-serve-term.sock --jobs 2 \
+	  > _build/smoke-serve-term.out 2> _build/smoke-serve-term.err & pid=$$!; \
+	  $(FUNCY) client -s _build/smoke-serve-term.sock --wait 10 --quiet \
+	    -b swim -a cfr --seed 42 -k 60 > /dev/null \
+	    || { kill -KILL $$pid; exit 1; }; \
+	  kill -TERM $$pid; \
+	  for i in `seq 1 100`; do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
+	  if kill -0 $$pid 2>/dev/null; then kill -KILL $$pid; exit 1; fi; \
+	  wait $$pid
+	@echo "smoke-serve OK: served bytes = solo bytes, loadgen clean, drained on shutdown and on SIGTERM"
 
 # Crash-recovery smoke (see DESIGN.md section 14): a supervised daemon
 # with a durable journal SIGKILLs itself (chaos hook) after every 5th

@@ -609,31 +609,7 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
   if n > 0 then rounds 0 ~chaos:true (List.init n Fun.id);
   Array.map (function Some o -> o | None -> assert false) outcomes
 
-(* -- batch entry points ------------------------------------------------- *)
-
-let measure_batch t ~toolchain ?outline ~program ~input jobs_array =
-  match t.backend with
-  | Backend.Processes | Backend.Sharded ->
-      forked_outcomes t ~toolchain ?outline ~program ~input jobs_array
-      |> Array.map (function
-           | Ok m -> m
-           | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
-  | Backend.Domains -> (
-      Telemetry.expect t.telemetry (Array.length jobs_array);
-      let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in
-      try
-        Pool.map ~jobs:t.jobs
-          (fun (i, job) ->
-            Trace.in_job t.trace ~batch ~index:i (fun () ->
-                let m = measure_one t ~toolchain ?outline ~program ~input job in
-                Telemetry.tick t.telemetry;
-                m))
-          (Array.mapi (fun i job -> (i, job)) jobs_array)
-      with Pool.Worker_failure e when Pool.fatal e -> raise e)
-
-let measure_list t ~toolchain ?outline ~program ~input jobs =
-  Array.to_list
-    (measure_batch t ~toolchain ?outline ~program ~input (Array.of_list jobs))
+(* -- batch entry point -------------------------------------------------- *)
 
 let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   match t.backend with
@@ -664,8 +640,3 @@ let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
                   from a crashed run as far as the search is concerned;
                   record it so the batch survives. *)
                Crashed (Printexc.to_string e))
-
-let try_measure_list t ~toolchain ?outline ~program ~input jobs =
-  Array.to_list
-    (try_measure_batch t ~toolchain ?outline ~program ~input
-       (Array.of_list jobs))

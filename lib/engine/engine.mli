@@ -80,8 +80,8 @@ type job_outcome =
           detail.  Quarantined as [Crashed ("worker: " ^ detail)]. *)
 
 exception Job_failed of job_outcome
-(** Raised by the fail-fast API ({!measure_one}/{!measure_batch}) for any
-    non-[Ok] outcome.  Never raised when the policy has no fault model. *)
+(** Raised by {!measure_one} for any non-[Ok] outcome.  Never raised
+    when the policy has no fault model. *)
 
 val elapsed : job_outcome -> float option
 (** Wall time of the job, where one is defined: the measurement's for
@@ -219,22 +219,6 @@ val try_measure_one :
     ICE check, retry/backoff loop, output validation and robust repeat
     aggregation, never raising for an injected fault. *)
 
-val measure_batch :
-  t ->
-  toolchain:Ft_machine.Toolchain.t ->
-  ?outline:Ft_outline.Outline.t ->
-  program:Ft_prog.Program.t ->
-  input:Ft_prog.Input.t ->
-  job array ->
-  Ft_machine.Exec.measurement array
-(** Measure a batch on the pool, fail-fast: the first [Job_failed]
-    aborts the batch (wrapped in {!Pool.Worker_failure}).  Results are in
-    submission order and bit-identical for any [jobs] setting {e and
-    any backend} (see the determinism argument above).  Progress ticks
-    fire per completed job.  On the forked backends the whole batch
-    runs before the first failure (in submission order) is raised —
-    isolation makes aborting siblings pointless. *)
-
 val try_measure_batch :
   t ->
   toolchain:Ft_machine.Toolchain.t ->
@@ -243,30 +227,12 @@ val try_measure_batch :
   input:Ft_prog.Input.t ->
   job array ->
   job_outcome array
-(** Partial-results batch: every job yields its own {!job_outcome} in
-    submission order; injected faults (and even unexpected worker
-    exceptions, recorded as [Crashed]) never poison sibling jobs.  On the
-    forked backends a {e dying worker} doesn't either: the job it was
-    running is re-run on a fresh worker up to [policy.max_retries] times
-    (bit-identically, by determinism), then surfaces as
-    [Worker_crashed]. *)
-
-val measure_list :
-  t ->
-  toolchain:Ft_machine.Toolchain.t ->
-  ?outline:Ft_outline.Outline.t ->
-  program:Ft_prog.Program.t ->
-  input:Ft_prog.Input.t ->
-  job list ->
-  Ft_machine.Exec.measurement list
-(** List version of {!measure_batch}. *)
-
-val try_measure_list :
-  t ->
-  toolchain:Ft_machine.Toolchain.t ->
-  ?outline:Ft_outline.Outline.t ->
-  program:Ft_prog.Program.t ->
-  input:Ft_prog.Input.t ->
-  job list ->
-  job_outcome list
-(** List version of {!try_measure_batch}. *)
+(** Measure a batch on the pool.  Every job yields its own
+    {!job_outcome} in submission order, bit-identical for any [jobs]
+    setting {e and any backend} (see the determinism argument above),
+    and progress ticks fire per completed job.  Injected faults (and
+    even unexpected worker exceptions, recorded as [Crashed]) never
+    poison sibling jobs.  On the forked backends a {e dying worker}
+    doesn't either: the job it was running is re-run on a fresh worker
+    up to [policy.max_retries] times (bit-identically, by determinism),
+    then surfaces as [Worker_crashed]. *)

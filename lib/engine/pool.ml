@@ -10,34 +10,102 @@ let fatal = function
   | Out_of_memory | Stack_overflow | Sys.Break | Abort _ -> true
   | _ -> false
 
-let sequential_map f a = Array.map f a
+(* -- parked helpers --------------------------------------------------------
 
+   Helper domains are spawned on the first batch that needs them and live
+   as long as the process, each parked on its own condition variable
+   between batches.  A batch hands every helper it wants one closure over
+   the batch's claim cursor; a helper takes the closure out of its slot
+   (so a finished batch's arrays never stay reachable from it), runs it
+   until the cursor is spent, and parks again.  One batch holds the
+   helpers at a time ([busy]); a call that finds them held runs in place.
+   [lock] guards every slot and [settled]. *)
+
+type helper = {
+  mutable work : (unit -> unit) option;
+  ready : Condition.t;
+}
+
+let lock = Mutex.create ()
+
+(* Signalled when a claimed job finishes after its batch's cursor is spent. *)
+let settled = Condition.create ()
+
+let busy = Atomic.make false
+
+(* Touched only by the domain holding [busy]. *)
+let helpers : helper array ref = ref [||]
+
+let rec park h =
+  Mutex.lock lock;
+  while Option.is_none h.work do
+    Condition.wait h.ready lock
+  done;
+  let run = Option.get h.work in
+  h.work <- None;
+  Mutex.unlock lock;
+  run ();
+  park h
+
+let spawn_helpers count =
+  while Array.length !helpers < count do
+    let h = { work = None; ready = Condition.create () } in
+    ignore (Domain.spawn (fun () -> park h) : unit Domain.t);
+    helpers := Array.append !helpers [| h |]
+  done
+
+(* The calling domain is worker zero and the only one that waits: once
+   its own share runs dry it closes the cursor and waits for the jobs
+   already claimed, never for a helper that claimed nothing (on a small
+   batch the caller is often done before a helper wakes; the late helper
+   finds the cursor spent and parks again). *)
 let parallel_map ~workers f a =
   let n = Array.length a in
   let results = Array.make n None in
   let next = Atomic.make 0 in
+  let finished = Atomic.make 0 in
   let failed : exn option Atomic.t = Atomic.make None in
-  let worker () =
-    let rec loop () =
-      if Atomic.get failed = None then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match f a.(i) with
-          | v -> results.(i) <- Some v
-          | exception e -> ignore (Atomic.compare_and_set failed None (Some e)));
-          loop ()
-        end
+  let rec share () =
+    if Option.is_none (Atomic.get failed) then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (try results.(i) <- Some (f a.(i))
+         with e -> ignore (Atomic.compare_and_set failed None (Some e)));
+        Atomic.incr finished;
+        if Atomic.get next >= n then begin
+          Mutex.lock lock;
+          Condition.broadcast settled;
+          Mutex.unlock lock
+        end;
+        share ()
       end
-    in
-    loop ()
+    end
   in
-  (* The calling domain is worker zero: [workers - 1] spawns suffice, and
-     a pool clamped to one worker runs the whole batch in place without
-     spawning at all — while keeping the parallel path's exception
-     envelope ([Worker_failure]). *)
-  let domains = List.init (workers - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join domains;
+  spawn_helpers (workers - 1);
+  let hs = !helpers in
+  Mutex.lock lock;
+  for k = 0 to workers - 2 do
+    hs.(k).work <- Some share
+  done;
+  Mutex.unlock lock;
+  (* Signalled after unlocking, so a woken helper does not block on
+     [lock] at once. *)
+  for k = 0 to workers - 2 do
+    Condition.signal hs.(k).ready
+  done;
+  let close () = min n (Atomic.exchange next n) in
+  (match share () with () -> () | exception e -> ignore (close ()); raise e);
+  (* The cursor is spent before [finished] is read, and a job bumps
+     [finished] before it reads the cursor: one of the two sees the
+     other, so a last job finishing now cannot be missed. *)
+  let claimed = close () in
+  if Atomic.get finished < claimed then begin
+    Mutex.lock lock;
+    while Atomic.get finished < claimed do
+      Condition.wait settled lock
+    done;
+    Mutex.unlock lock
+  end;
   (match Atomic.get failed with
   | Some e -> raise (Worker_failure e)
   | None -> ());
@@ -46,7 +114,7 @@ let parallel_map ~workers f a =
 let map ~jobs f a =
   if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
   let n = Array.length a in
-  if jobs = 1 || n <= 1 then sequential_map f a
+  if jobs = 1 || n <= 1 then Array.map f a
   else
     (* Never oversubscribe the machine: surplus domains add minor-GC
        synchronization stalls without adding parallelism (on a saturated
@@ -56,10 +124,15 @@ let map ~jobs f a =
     let workers =
       min (min jobs n) (max 1 (Domain.recommended_domain_count ()))
     in
-    parallel_map ~workers f a
-
-let submit ~jobs thunks =
-  Array.to_list (map ~jobs (fun thunk -> thunk ()) (Array.of_list thunks))
+    (* A clamped pool, a nested call from inside a job, or a second domain
+       calling while a batch runs: all run in place, keeping the parallel
+       path's exception envelope. *)
+    if workers = 1 || not (Atomic.compare_and_set busy false true) then
+      try Array.map f a with e -> raise (Worker_failure e)
+    else
+      Fun.protect
+        ~finally:(fun () -> Atomic.set busy false)
+        (fun () -> parallel_map ~workers f a)
 
 (* Partial-results mode: exceptions are captured per item, so one failed
    job no longer poisons the batch — every other job still runs and keeps

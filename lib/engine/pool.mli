@@ -1,12 +1,18 @@
-(** A fixed-size domain worker pool.
+(** A process-wide domain worker pool.
 
-    Jobs are claimed from a shared queue by [min jobs n] domains
-    ([Domain.spawn], OCaml 5 — no external dependency) and their results
-    are written back by {e submission index}, so the output order is always
-    the input order no matter which worker finishes first.  With [jobs = 1]
-    no domain is spawned at all: the pool degrades to a plain sequential
-    [Array.map], which is the default everywhere so single-core behaviour
-    and CLI output are unchanged.
+    Jobs are claimed from a shared cursor by [min jobs n] workers, clamped
+    to [Domain.recommended_domain_count], and their results are written
+    back by {e submission index}, so the output order is always the input
+    order no matter which worker finishes first.  The calling domain is
+    worker zero.  The other workers are helper domains ([Domain.spawn],
+    OCaml 5 — no external dependency) spawned once, on the first batch
+    that needs them, and parked between batches, so a batch costs one
+    wake-up rather than a spawn and a join.  One batch uses the helpers
+    at a time: a call made while they are busy (a nested call from inside
+    a job, or a second domain calling concurrently) runs its batch in the
+    calling domain.  With [jobs = 1] the pool is a plain sequential
+    [Array.map], which is the default everywhere so single-core
+    behaviour and CLI output are unchanged, and no domain is spawned.
 
     The pool makes no determinism promise by itself — that is the engine's
     job: engine jobs carry their own independent RNG streams, so the
@@ -14,8 +20,10 @@
     completion order varies. *)
 
 exception Worker_failure of exn
-(** Raised by {!map}/{!submit} after all workers have joined, wrapping the
-    first exception any job raised.  Remaining queued jobs are abandoned. *)
+(** Raised by {!map} once every claimed job has finished, wrapping the
+    first exception any job raised; jobs not yet claimed are abandoned.
+    A batch with [jobs = 1] or fewer than two elements runs as a plain
+    [Array.map] and lets the exception escape unwrapped. *)
 
 exception Abort of string
 (** Deliberate whole-computation cancellation.  Raise it from a job (or
@@ -31,9 +39,6 @@ val map : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map ~jobs f a] applies [f] to every element on up to [jobs] workers
     and returns results in submission order.
     @raise Invalid_argument if [jobs < 1]. *)
-
-val submit : jobs:int -> (unit -> 'a) list -> 'a list
-(** Thunk-list version of {!map}; results are in submission order. *)
 
 val map_result : jobs:int -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Partial-results mode: like {!map}, but each job's exception is

@@ -312,7 +312,11 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
       done;
       List.iter feed !live;
       let watched = List.filter (fun w -> w.chunks <> []) !live in
-      if watched = [] then begin
+      if watched = [] && !respawns < respawn_budget then
+        (* A worker died during this feed round (EPIPE on its second
+           chunk); the loop head respawns it. *)
+        ()
+      else if watched = [] then begin
         (* The pool is gone and cannot be refilled; every remaining slot
            is unfed.  Fail them rather than spin. *)
         let detail = "no live workers (respawn budget exhausted)" in

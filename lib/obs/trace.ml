@@ -52,10 +52,11 @@ let record_stamped t st =
 
 (* In-job events are batched in a domain-local buffer and drained into
    the domain's shard under a single mutex acquisition — at job exit
-   ({!in_job}'s finally, which runs in the recording domain, so a pool
-   join can never observe an undrained job), at [flush_threshold], or
-   when the domain switches traces.  Per-event locking remains only for
-   out-of-job emissions, which are rare by construction. *)
+   ({!in_job}'s finally, which runs in the recording domain, so the pool
+   never counts a job finished before it is drained), at
+   [flush_threshold], or when the domain switches traces.  Per-event
+   locking remains only for out-of-job emissions, which are rare by
+   construction. *)
 
 let flush_threshold = 512
 
@@ -185,7 +186,7 @@ let in_job t ~batch ~index f =
         ~finally:(fun () ->
           (* Drain before the scope closes: this runs in the recording
              domain, so every in-job event is in its shard before the
-             pool can join the batch and a reader can ask for it. *)
+             pool counts the job finished and a reader can ask for it. *)
           drain_pending ();
           Domain.DLS.set job_scope saved)
         f

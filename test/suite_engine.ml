@@ -44,13 +44,6 @@ let test_pool_preserves_order () =
       Alcotest.(check int) "submission order preserved" idx i)
     parallel
 
-let test_pool_submit_list () =
-  let thunks = List.init 20 (fun i () -> 2 * i) in
-  Alcotest.(check (list int))
-    "submit preserves order"
-    (List.init 20 (fun i -> 2 * i))
-    (Pool.submit ~jobs:3 thunks)
-
 let test_pool_propagates_failure () =
   let work i = if i = 13 then failwith "boom" else i in
   (match Pool.map ~jobs:4 work (Array.init 64 (fun i -> i)) with
@@ -95,6 +88,92 @@ let test_pool_rejects_bad_jobs () =
   match Pool.map ~jobs:0 (fun i -> i) [| 1 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "jobs=0 accepted"
+
+(* A job long enough (~50 us) for a parked helper to wake and claim some
+   of the batch; it returns the id of the domain that ran it. *)
+let spin_id _ =
+  let until = Ft_util.Clock.now () +. 50e-6 in
+  while Ft_util.Clock.now () < until do
+    ()
+  done;
+  (Domain.self () :> int)
+
+let caller_id () = (Domain.self () :> int)
+
+(* The distinct domain ids in the lists [ids], less the caller's. *)
+let helper_ids ids =
+  List.sort_uniq compare
+    (List.filter (fun id -> id <> caller_id ()) (List.concat ids))
+
+let max_helpers = Domain.recommended_domain_count () - 1
+
+let test_pool_spawns_helpers_once () =
+  let batches =
+    List.init 20 (fun _ ->
+        Array.to_list (Pool.map ~jobs:2 spin_id (Array.init 64 Fun.id)))
+  in
+  let seen = helper_ids batches in
+  if List.length seen > max_helpers then
+    Alcotest.failf "%d helper domains over 20 batches, at most %d expected"
+      (List.length seen) max_helpers
+
+let test_pool_recovers_after_failures () =
+  let ran = Mutex.create () and ids = ref [] in
+  let record i =
+    let id = spin_id i in
+    Mutex.protect ran (fun () -> ids := id :: !ids)
+  in
+  (match
+     Pool.map ~jobs:2
+       (fun i -> record i; if i = 40 then failwith "boom")
+       (Array.init 64 Fun.id)
+   with
+  | exception Pool.Worker_failure (Failure _) -> ()
+  | exception e -> Alcotest.fail ("unexpected: " ^ Printexc.to_string e)
+  | _ -> Alcotest.fail "failure swallowed");
+  (match
+     Pool.map_result ~jobs:2
+       (fun i -> record i; if i = 40 then raise (Pool.Abort "stop"))
+       (Array.init 64 Fun.id)
+   with
+  | exception Pool.Worker_failure (Pool.Abort _) -> ()
+  | exception e -> Alcotest.fail ("unexpected: " ^ Printexc.to_string e)
+  | _ -> Alcotest.fail "abort captured");
+  let clean =
+    Pool.map ~jobs:2 (fun i -> (i, spin_id i)) (Array.init 64 Fun.id)
+  in
+  Array.iteri
+    (fun idx (i, _) -> Alcotest.(check int) "clean batch in order" idx i)
+    clean;
+  let seen = helper_ids [ !ids; Array.to_list (Array.map snd clean) ] in
+  if List.length seen > max_helpers then
+    Alcotest.failf "%d helper domains across the three batches, at most %d"
+      (List.length seen) max_helpers
+
+let test_pool_nested_and_concurrent () =
+  let items = Array.init 16 Fun.id in
+  let square i =
+    ignore (spin_id i);
+    i * i
+  in
+  let nested =
+    Pool.map ~jobs:2 (fun i -> Pool.map ~jobs:2 (fun j -> (10 * i) + j) items)
+      items
+  in
+  Array.iteri
+    (fun i row ->
+      Alcotest.(check (array int)) "nested results in order"
+        (Array.map (fun j -> (10 * i) + j) items) row)
+    nested;
+  let concurrent =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () -> Pool.map ~jobs:2 square items))
+  in
+  List.iter
+    (fun d ->
+      Alcotest.(check (array int)) "concurrent results in order"
+        (Array.map (fun i -> i * i) items) (Domain.join d))
+    concurrent
 
 (* --- deterministic parallelism -------------------------------------------- *)
 
@@ -391,7 +470,6 @@ let suite =
     [
       Alcotest.test_case "pool order under stress fan-out" `Quick
         test_pool_preserves_order;
-      Alcotest.test_case "pool submit list" `Quick test_pool_submit_list;
       Alcotest.test_case "pool failure propagation" `Quick
         test_pool_propagates_failure;
       Alcotest.test_case "pool map_result keeps partial results" `Quick
@@ -399,6 +477,12 @@ let suite =
       Alcotest.test_case "pool map_result = map on success" `Quick
         test_pool_map_result_matches_map_on_success;
       Alcotest.test_case "pool rejects jobs=0" `Quick test_pool_rejects_bad_jobs;
+      Alcotest.test_case "pool spawns helpers once" `Quick
+        test_pool_spawns_helpers_once;
+      Alcotest.test_case "pool recovers after failures" `Quick
+        test_pool_recovers_after_failures;
+      Alcotest.test_case "pool nested and concurrent calls" `Quick
+        test_pool_nested_and_concurrent;
       Alcotest.test_case "collection parallel determinism" `Quick
         test_collection_parallel_bit_identical;
       Alcotest.test_case "run_all parallel determinism" `Quick
