@@ -1,9 +1,10 @@
 DUNE ?= dune
 FUNCY = $(DUNE) exec --no-build bin/funcy.exe --
 
-.PHONY: all build test smoke smoke-faults smoke-trace smoke-procs \
-        smoke-shard smoke-selfcheck smoke-adaptive smoke-serve smoke-recover golden \
-        perf-gate coverage check clean
+SMOKES = smoke smoke-faults smoke-trace smoke-procs smoke-shard \
+         smoke-selfcheck smoke-adaptive smoke-serve smoke-recover
+
+.PHONY: all build test smokes $(SMOKES) golden perf-gate coverage check clean
 
 all: build
 
@@ -164,7 +165,10 @@ smoke-adaptive: build
 #      `funcy report` renders the server section from its trace;
 #   4. a second --jobs 2 daemon, whose pool keeps a parked helper domain
 #      between searches, serves one search and drains on SIGTERM (exit 0
-#      within 10 s).  One shell line, so `$!` and `wait` see its pid.
+#      within 10 s).  One shell line, so `$!` and `wait` see its pid;
+#   5. that daemon runs each search on its own --state-dir engine, and its
+#      --stats builds/runs/cache lines equal the counters `funcy report`
+#      re-counts from its trace.
 smoke-serve: build
 	rm -f _build/smoke-serve.sock
 	$(FUNCY) serve -s _build/smoke-serve.sock --jobs 2 \
@@ -184,8 +188,10 @@ smoke-serve: build
 	  kill -0 `cat _build/smoke-serve.pid` 2>/dev/null || break; sleep 0.1; done; \
 	  ! kill -0 `cat _build/smoke-serve.pid` 2>/dev/null
 	$(FUNCY) report _build/smoke-serve.jsonl | grep -q "Server requests"
-	rm -f _build/smoke-serve-term.sock
+	rm -rf _build/smoke-serve-term.sock _build/smoke-serve-state
 	$(FUNCY) serve -s _build/smoke-serve-term.sock --jobs 2 \
+	  --state-dir _build/smoke-serve-state --stats \
+	  --trace _build/smoke-serve-term.jsonl \
 	  > _build/smoke-serve-term.out 2> _build/smoke-serve-term.err & pid=$$!; \
 	  $(FUNCY) client -s _build/smoke-serve-term.sock --wait 10 --quiet \
 	    -b swim -a cfr --seed 42 -k 60 > /dev/null \
@@ -194,7 +200,14 @@ smoke-serve: build
 	  for i in `seq 1 100`; do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
 	  if kill -0 $$pid 2>/dev/null; then kill -KILL $$pid; exit 1; fi; \
 	  wait $$pid
-	@echo "smoke-serve OK: served bytes = solo bytes, loadgen clean, drained on shutdown and on SIGTERM"
+	sed -n '/^engine telemetry:/,$$p' _build/smoke-serve-term.out \
+	  | grep -E '^  (builds|runs|cache) ' > _build/smoke-serve-term-stats.out
+	$(FUNCY) report _build/smoke-serve-term.jsonl \
+	  | sed -n '/^Derived engine counters:/,$$p' \
+	  | grep -E '^  (builds|runs|cache) ' > _build/smoke-serve-term-report.out
+	grep -Eq '^  builds +[1-9]' _build/smoke-serve-term-stats.out
+	cmp _build/smoke-serve-term-stats.out _build/smoke-serve-term-report.out
+	@echo "smoke-serve OK: served bytes = solo bytes, loadgen clean, drained on shutdown and on SIGTERM, --stats = report"
 
 # Crash-recovery smoke (see DESIGN.md section 14): a supervised daemon
 # with a durable journal SIGKILLs itself (chaos hook) after every 5th
@@ -261,8 +274,9 @@ coverage:
 golden: build
 	$(FUNCY) experiment fig5c fig7a -k 12 --csv-dir test/golden
 
-check: build test smoke smoke-faults smoke-trace smoke-procs smoke-shard \
-       smoke-selfcheck smoke-adaptive smoke-serve smoke-recover
+smokes: $(SMOKES)
+
+check: build test smokes
 
 clean:
 	$(DUNE) clean

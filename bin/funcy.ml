@@ -152,7 +152,7 @@ let stats_t =
 let maybe_stats stats telemetry =
   if stats then (
     print_newline ();
-    print_string (Ft_engine.Telemetry.render telemetry))
+    print_string (Ft_obs.Telemetry.render telemetry))
 
 (* --- run tracing flags ------------------------------------------------- *)
 
@@ -358,7 +358,9 @@ let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
               "funcy: resuming from %s (%d cached summaries, %d quarantined)\n%!"
               path (Cache.length cache)
               (Quarantine.length quarantine);
-            Trace.checkpoint_loaded trace ~path ~entries:(Cache.length cache);
+            Trace.emit trace
+              (Ft_obs.Event.Checkpoint_loaded
+                 { path; entries = Cache.length cache });
             (cache, quarantine)
         | None -> (Cache.create (), Quarantine.create ())
       in
@@ -387,7 +389,7 @@ let publish_shared_cache engine = function
 let arm_die_after engine ?(on_die = fun () -> ()) = function
   | None -> ()
   | Some n ->
-      Ft_engine.Telemetry.set_progress (Engine.telemetry engine)
+      Ft_obs.Telemetry.set_progress (Engine.telemetry engine)
         (fun ~completed ~expected:_ ->
           if completed >= n then begin
             Engine.flush_checkpoint engine;
@@ -1115,11 +1117,15 @@ let serve_cmd =
             (Engine.telemetry engine, Ft_serve.Runner.make ~engine)
         | Some dir ->
             let policy = policy_of_resilience resilience in
+            (* One telemetry for every per-search engine, so --stats adds
+               up across searches as the shared engine's does. *)
+            let telemetry = Ft_obs.Telemetry.create () in
             let make_engine ?cache ?quarantine ?checkpoint () =
               Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?cache ?quarantine ~policy ?checkpoint ?trace ()
+                ~nodes ?cache ~telemetry ?quarantine ~policy ?checkpoint
+                ?trace ()
             in
-            ( Ft_engine.Telemetry.create (),
+            ( telemetry,
               Ft_serve.Runner.make_durable ~make_engine ~state_dir:dir
                 ~checkpoint_every () )
       in

@@ -44,7 +44,7 @@ val stream : t -> string -> Ft_util.Rng.t
 
 val engine : t -> Ft_engine.Engine.t
 
-val telemetry : t -> Ft_engine.Telemetry.t
+val telemetry : t -> Ft_obs.Telemetry.t
 (** The session engine's telemetry (the [--stats] source). *)
 
 val trace : t -> Ft_obs.Trace.t option

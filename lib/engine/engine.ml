@@ -7,6 +7,8 @@ module Toolchain = Ft_machine.Toolchain
 module Exec = Ft_machine.Exec
 module Outline = Ft_outline.Outline
 module Fault = Ft_fault.Fault
+module Event = Ft_obs.Event
+module Telemetry = Ft_obs.Telemetry
 module Trace = Ft_obs.Trace
 
 type build =
@@ -154,29 +156,31 @@ let quarantine t = t.quarantine
 let checkpoint t = t.checkpoint
 let trace t = t.trace
 
+(* Report one fact, once: counted by the one rule and recorded by the one
+   primitive, which a logical clock projects. *)
+let note t event =
+  Telemetry.count t.telemetry event;
+  Trace.emit t.trace event
+
 let checkpoint_tick t =
   match t.checkpoint with
   | None -> ()
   | Some ck ->
       if Checkpoint.tick ck ~cache:t.cache ~quarantine:t.quarantine then
-        Trace.checkpoint_saved t.trace ~path:(Checkpoint.path ck)
+        note t (Event.Checkpoint_saved { path = Checkpoint.path ck })
 
 let flush_checkpoint t =
   match t.checkpoint with
   | None -> ()
   | Some ck ->
       Checkpoint.flush ck ~cache:t.cache ~quarantine:t.quarantine;
-      Trace.checkpoint_saved t.trace ~path:(Checkpoint.path ck)
+      note t (Event.Checkpoint_saved { path = Checkpoint.path ck })
 
-(* Time [f] onto a telemetry timer and mirror the accumulation into the
-   trace (wall clock only — durations are not deterministic facts). *)
 let timed t name f =
   let t0 = Ft_util.Clock.now () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Ft_util.Clock.now () -. t0 in
-      Telemetry.add_time t.telemetry name dt;
-      Trace.timer t.trace ~name ~seconds:dt)
+      note t (Event.Timer { name; seconds = Ft_util.Clock.now () -. t0 }))
     f
 
 let instrumented = function
@@ -286,23 +290,19 @@ let summary ?key_str t ~toolchain ?outline ~program ~input build =
   in
   match Cache.find t.cache key with
   | Some s ->
-      Telemetry.cache_hit t.telemetry;
-      Trace.cache_lookup t.trace ~key ~hit:true;
+      note t (Event.Cache_hit { key });
       s
   | None ->
-      Telemetry.cache_miss t.telemetry;
-      Trace.cache_lookup t.trace ~key ~hit:false;
+      note t (Event.Cache_miss { key });
       let binary =
         timed t "build" (fun () -> compile ~toolchain ?outline ~program build)
       in
-      Telemetry.build t.telemetry;
-      Trace.build_done t.trace ~key;
+      note t (Event.Build_done { key });
       let run =
         timed t "run" (fun () ->
             Exec.evaluate ~arch:toolchain.Toolchain.arch ~input binary)
       in
-      Telemetry.run t.telemetry;
-      Trace.run_done t.trace ~key;
+      note t (Event.Run_done { key });
       let s = Exec.summarize run in
       Cache.add t.cache key s;
       (match t.journal with
@@ -322,8 +322,7 @@ let quarantine_add t key reason =
     (match t.journal with
     | Some j -> j.j_quar <- (key, reason) :: j.j_quar
     | None -> ());
-    Telemetry.quarantine t.telemetry;
-    Trace.quarantine_added t.trace ~key ~reason:(reason_tag reason);
+    note t (Event.Quarantine_added { key; reason = reason_tag reason });
     checkpoint_tick t
   end
 
@@ -353,8 +352,7 @@ let sample_measurement t ~key ~rng ~instrumented s =
             match Fault.outlier f ~key ~repeat with
             | None -> m
             | Some factor ->
-                Telemetry.outlier t.telemetry;
-                Trace.outlier t.trace ~key;
+                note t (Event.Outlier { key });
                 { m with Exec.elapsed_s = m.Exec.elapsed_s *. factor })
       in
       (* Samples must be drawn in repeat order: they share the job stream. *)
@@ -368,8 +366,8 @@ let sample_measurement t ~key ~rng ~instrumented s =
 let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
   match Quarantine.find t.quarantine key_str with
   | Some reason ->
-      Telemetry.quarantine_hit t.telemetry;
-      Trace.quarantine_hit t.trace ~key:key_str ~reason:(reason_tag reason);
+      note t
+        (Event.Quarantine_hit { key = key_str; reason = reason_tag reason });
       outcome_of_reason reason
   | None -> (
       let ice_module =
@@ -387,8 +385,7 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
       in
       match ice_module with
       | Some module_name ->
-          Telemetry.build_failure t.telemetry;
-          Trace.fault t.trace ~key:key_str ~fault:"ice";
+          note t (Event.Fault_injected { key = key_str; fault = "ice" });
           quarantine_add t key_str (Quarantine.Build_failed module_name);
           Build_failed module_name
       | None -> (
@@ -400,19 +397,18 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
                    ~instrumented:(instrumented build) s)
           | Some f ->
               let retry attempt k =
-                Telemetry.retry t.telemetry;
                 let wait = backoff_s t.policy attempt in
-                Telemetry.add_time t.telemetry "backoff" wait;
-                Trace.retry t.trace ~key:key_str ~attempt ~backoff_s:wait;
-                Trace.timer t.trace ~name:"backoff" ~seconds:wait;
+                note t
+                  (Event.Retry { key = key_str; attempt; backoff_s = wait });
+                note t (Event.Timer { name = "backoff"; seconds = wait });
                 k (attempt + 1)
               in
               let rec attempt_run attempt =
                 match Fault.run_fault f ~key:key_str ~attempt with
                 | Fault.Run_ok -> validate ()
                 | Fault.Crash { transient } ->
-                    Telemetry.crash t.telemetry;
-                    Trace.fault t.trace ~key:key_str ~fault:"crash";
+                    note t
+                      (Event.Fault_injected { key = key_str; fault = "crash" });
                     if transient && attempt < t.policy.max_retries then
                       retry attempt attempt_run
                     else begin
@@ -426,8 +422,9 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
                 | Fault.Hang { factor; transient } ->
                     let elapsed_s = factor *. s.Exec.sum_total_s in
                     if elapsed_s > t.policy.timeout_s then begin
-                      Telemetry.timeout t.telemetry;
-                      Trace.fault t.trace ~key:key_str ~fault:"timeout";
+                      note t
+                        (Event.Fault_injected
+                           { key = key_str; fault = "timeout" });
                       if transient && attempt < t.policy.max_retries then
                         retry attempt attempt_run
                       else begin
@@ -446,8 +443,9 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
                       Fault.corrupt_signature ~key:key_str expected
                     in
                     if observed <> expected then begin
-                      Telemetry.wrong_answer t.telemetry;
-                      Trace.fault t.trace ~key:key_str ~fault:"wrong-answer";
+                      note t
+                        (Event.Fault_injected
+                           { key = key_str; fault = "wrong-answer" });
                       quarantine_add t key_str Quarantine.Wrong_answer;
                       Wrong_answer
                     end
@@ -579,8 +577,7 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
           Telemetry.tick t.telemetry
       | Stdlib.Error (Procpool.Crashed c) ->
           let detail = Procpool.crash_to_string c in
-          Telemetry.worker_crash t.telemetry;
-          Trace.worker_crashed t.trace ~detail;
+          note t (Event.Worker_crashed { detail });
           crashed := (i, detail) :: !crashed
     in
     let kill = if chaos then t.kill_workers_after else None in

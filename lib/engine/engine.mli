@@ -13,7 +13,10 @@
       checks explicitly);
     - noise-free summaries are memoized in a content-addressed {!Cache}
       (shareable across searches and persistable across runs);
-    - counters and timers accumulate in {!Telemetry}.
+    - each fact of a job — cache lookup, build, run, fault, retry,
+      quarantine decision, timer accumulation — is reported once, as an
+      {!Ft_obs.Event} counted by {!Ft_obs.Telemetry.count} and recorded
+      in the attached trace, if any.
 
     Determinism argument, in full: a [build] value determines the binary
     (compilation and linking are pure), and the binary plus the input
@@ -101,7 +104,7 @@ val create :
   ?kill_workers_after:int ->
   ?nodes:int ->
   ?cache:Cache.t ->
-  ?telemetry:Telemetry.t ->
+  ?telemetry:Ft_obs.Telemetry.t ->
   ?policy:policy ->
   ?quarantine:Quarantine.t ->
   ?checkpoint:Checkpoint.t ->
@@ -125,11 +128,12 @@ val create :
     unless shared ones are passed (e.g. one cache for a whole experiment
     lab, or a quarantine reloaded from a checkpoint).  When a
     [checkpoint] is attached, cache and quarantine snapshots are
-    refreshed as state accumulates and on {!flush_checkpoint}.  When a
-    [trace] is attached, every cache lookup, build, run, fault, retry,
-    quarantine decision and job completion is recorded as a typed
-    {!Ft_obs.Event} — with no trace, not a single extra instruction runs
-    on the job path.
+    refreshed as state accumulates and on {!flush_checkpoint}.  Every
+    cache lookup, build, run, fault, retry, quarantine decision and timer
+    accumulation is one typed {!Ft_obs.Event}, counted into the
+    telemetry and, when a [trace] is attached, recorded there too, along
+    with each job's start and finish.  With no trace nothing is recorded,
+    and only the counted events are built.
     @raise Invalid_argument if [jobs < 1], [nodes < 1],
     [policy.repeats < 1], [policy.max_retries < 0],
     [policy.timeout_s <= 0] or [kill_workers_after < 0]. *)
@@ -142,19 +146,19 @@ val nodes : t -> int
     other backends, as [jobs] is by the sharded one). *)
 
 val cache : t -> Cache.t
-val telemetry : t -> Telemetry.t
+val telemetry : t -> Ft_obs.Telemetry.t
 val policy : t -> policy
 val quarantine : t -> Quarantine.t
 val checkpoint : t -> Checkpoint.t option
 val trace : t -> Ft_obs.Trace.t option
 
 val timed : t -> string -> (unit -> 'a) -> 'a
-(** [timed t name f] runs [f], accumulating its elapsed time (on the
-    monotonic {!Ft_util.Clock}) both on the telemetry timer [name] and
-    (wall-clock traces only) as a trace {!Ft_obs.Event.Timer} event,
-    keeping the two stores derivable from one another.  Used by the
-    engine for ["build"]/["run"] and by the search layers for their
-    phase timers. *)
+(** [timed t name f] runs [f] and reports its elapsed time (on the
+    monotonic {!Ft_util.Clock}) as one {!Ft_obs.Event.Timer} event:
+    counted onto the telemetry timer [name], and recorded by a wall-clock
+    trace (a logical one drops it).  Used by the engine for
+    ["build"]/["run"] and by the search layers for their phase
+    timers. *)
 
 val flush_checkpoint : t -> unit
 (** Force a checkpoint snapshot now (no-op without an attached

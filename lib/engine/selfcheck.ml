@@ -1,3 +1,4 @@
+module Telemetry = Ft_obs.Telemetry
 module Trace = Ft_obs.Trace
 
 type divergence = { stage : string; part : string; diff : string list }

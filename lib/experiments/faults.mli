@@ -17,7 +17,7 @@ val columns : string list
 (** ["Random"; "FR"; "CFR"]. *)
 
 val run :
-  ?telemetry:Ft_engine.Telemetry.t ->
+  ?telemetry:Ft_obs.Telemetry.t ->
   ?fault_seed:int ->
   seed:int ->
   pool_size:int ->

@@ -31,7 +31,7 @@ val engine : t -> Ft_engine.Engine.t
 (** The lab-wide evaluation engine: one worker pool, one measurement cache
     and one telemetry record shared by every session. *)
 
-val telemetry : t -> Ft_engine.Telemetry.t
+val telemetry : t -> Ft_obs.Telemetry.t
 (** Aggregated counters/timers across every experiment run so far (the
     [--stats] source). *)
 

@@ -50,6 +50,16 @@ type t =
   | Request_replayed of { id : string; fingerprint : string }
   | Server_recovered of { restarts : int; replayed : int; poisoned : int }
 
+(* The one list of schedule-dependent events.  Which racing worker takes
+   a miss, performs the build and run, inserts a quarantine entry, saves
+   a checkpoint or dies, and how long anything took, is scheduling; that
+   a key was queried is not. *)
+let logical = function
+  | Cache_hit { key } | Cache_miss { key } -> Some (Cache_query { key })
+  | Build_done _ | Run_done _ | Timer _ | Checkpoint_saved _
+  | Checkpoint_loaded _ | Quarantine_added _ | Worker_crashed _ -> None
+  | e -> Some e
+
 let name = function
   | Batch_submitted _ -> "batch"
   | Job_started _ -> "job_start"

@@ -45,8 +45,10 @@ type t =
   | Fault_injected of {
       key : string;
       fault : string;
-          (** ["ice"], ["crash"], ["wrong-answer"] or ["timeout"] —
-              mirrors the {!Ft_engine.Telemetry} fault counters *)
+          (** ["ice"], ["crash"], ["wrong-answer"] or ["timeout"];
+              {!Telemetry.count} counts them as [build_failures],
+              [crashes], [wrong_answers] and [timeouts], and any other
+              kind as nothing *)
     }
   | Retry of { key : string; attempt : int; backoff_s : float }
   | Outlier of { key : string }  (** heavy-tailed measurement injected *)
@@ -110,6 +112,16 @@ type t =
   | Server_recovered of { restarts : int; replayed : int; poisoned : int }
       (** server: one boot's journal replay — prior incarnations seen,
           unfinished requests re-enqueued, fingerprints crash-quarantined *)
+
+val logical : t -> t option
+(** The event as a logical-clock trace records it: [None] for the
+    schedule-dependent facts ([Build_done], [Run_done], [Timer],
+    [Checkpoint_saved], [Checkpoint_loaded], [Quarantine_added],
+    [Worker_crashed]), [Cache_query] for a [Cache_hit] or [Cache_miss]
+    (which racing worker misses is scheduling, the queried key is not),
+    and the event itself otherwise.  The one list of schedule-dependent
+    events: {!Trace.emit} applies it under a [Logical] clock and
+    {!Trace.normalized_lines} reuses it. *)
 
 val name : t -> string
 (** The wire tag (the ["ev"] field), e.g. ["job_end"] or ["cache_hit"]. *)

@@ -78,92 +78,28 @@ let load path =
       in
       Ok { clock; entries = List.rev entries })
 
-(* --- derived counters ------------------------------------------------- *)
+(* --- the sequential schedule ------------------------------------------- *)
 
-type counters = {
-  builds : int;
-  runs : int;
-  cache_hits : int;
-  cache_misses : int;
-  retries : int;
-  build_failures : int;
-  crashes : int;
-  wrong_answers : int;
-  timeouts : int;
-  worker_crashes : int;
-  outliers : int;
-  quarantined : int;
-  quarantine_hits : int;
-  timers : (string * float) list;
-}
-
-(* The hit/miss sequence, in trace order.  Wall traces record the split;
-   logical traces record only the queried keys, for which first-occurrence
-   = miss reproduces exactly the sequential schedule (the canonical order
-   is the [--jobs 1] order, under which the first query of a key is
-   always the one that populates the cache). *)
-let lookup_sequence events =
+(* A logical trace records each cache lookup as a [Cache_query].  Its
+   canonical order is the [--jobs 1] order, under which the first query
+   of a key misses, then builds and runs it, and every later query hits.
+   Replaying that schedule lets one counting rule, {!Telemetry.count},
+   serve both clocks; a wall trace has no queries and passes unchanged. *)
+let sequential events =
   let seen = Hashtbl.create 256 in
-  List.filter_map
-    (fun event ->
-      match event with
-      | Event.Cache_hit _ -> Some true
-      | Event.Cache_miss _ -> Some false
+  List.concat_map
+    (function
+      | Event.Cache_query { key } when Hashtbl.mem seen key ->
+          [ Event.Cache_hit { key } ]
       | Event.Cache_query { key } ->
-          if Hashtbl.mem seen key then Some true
-          else begin
-            Hashtbl.add seen key ();
-            Some false
-          end
-      | _ -> None)
+          Hashtbl.add seen key ();
+          [
+            Event.Cache_miss { key };
+            Event.Build_done { key };
+            Event.Run_done { key };
+          ]
+      | e -> [ e ])
     events
-
-let derive events =
-  let count p = List.length (List.filter p events) in
-  let lookups = lookup_sequence events in
-  let cache_hits = List.length (List.filter Fun.id lookups) in
-  let cache_misses = List.length lookups - cache_hits in
-  let recorded_builds =
-    count (function Event.Build_done _ -> true | _ -> false)
-  in
-  let recorded_runs = count (function Event.Run_done _ -> true | _ -> false) in
-  let fault kind =
-    count (function
-      | Event.Fault_injected { fault; _ } -> fault = kind
-      | _ -> false)
-  in
-  let timers =
-    List.fold_left
-      (fun acc event ->
-        match event with
-        | Event.Timer { name; seconds } ->
-            let prior = Option.value ~default:0.0 (List.assoc_opt name acc) in
-            (name, prior +. seconds) :: List.remove_assoc name acc
-        | _ -> acc)
-      [] events
-    |> List.sort compare
-  in
-  {
-    (* A logical trace suppresses build/run events; the builds actually
-       performed are then exactly the cache misses. *)
-    builds = (if recorded_builds > 0 then recorded_builds else cache_misses);
-    runs = (if recorded_runs > 0 then recorded_runs else cache_misses);
-    cache_hits;
-    cache_misses;
-    retries = count (function Event.Retry _ -> true | _ -> false);
-    build_failures = fault "ice";
-    crashes = fault "crash";
-    wrong_answers = fault "wrong-answer";
-    timeouts = fault "timeout";
-    worker_crashes =
-      count (function Event.Worker_crashed _ -> true | _ -> false);
-    outliers = count (function Event.Outlier _ -> true | _ -> false);
-    quarantined =
-      count (function Event.Quarantine_added _ -> true | _ -> false);
-    quarantine_hits =
-      count (function Event.Quarantine_hit _ -> true | _ -> false);
-    timers;
-  }
 
 (* --- per-phase breakdown ---------------------------------------------- *)
 
@@ -253,8 +189,15 @@ let render_phases buf t =
     Buffer.add_char buf '\n'
   end
 
-let render_cache buf t =
-  let lookups = lookup_sequence (List.map (fun e -> e.event) t.entries) in
+let render_cache buf events =
+  let lookups =
+    List.filter_map
+      (function
+        | Event.Cache_hit _ -> Some true
+        | Event.Cache_miss _ -> Some false
+        | _ -> None)
+      events
+  in
   let n = List.length lookups in
   if n > 0 then begin
     section buf "Cache hit-rate over time:";
@@ -312,7 +255,7 @@ let render_convergence buf t =
         end
       done
 
-let render_faults buf (c : counters) =
+let render_faults buf (c : Telemetry.snapshot) =
   let total = c.build_failures + c.crashes + c.wrong_answers + c.timeouts in
   if total > 0 || c.retries > 0 || c.quarantine_hits > 0 || c.worker_crashes > 0
   then begin
@@ -491,7 +434,7 @@ let render_serve buf t =
     Buffer.add_char buf '\n'
   end
 
-let render_counters buf (c : counters) =
+let render_counters buf (c : Telemetry.snapshot) =
   section buf "Derived engine counters:";
   Buffer.add_string buf
     (Printf.sprintf "  builds      %d\n  runs        %d\n" c.builds c.runs);
@@ -510,8 +453,8 @@ let render_counters buf (c : counters) =
 
 let render t =
   let buf = Buffer.create 4096 in
-  let events = List.map (fun e -> e.event) t.entries in
-  let c = derive events in
+  let events = sequential (List.map (fun e -> e.event) t.entries) in
+  let c = Telemetry.snapshot (Telemetry.of_events events) in
   let span_s =
     match (t.clock, List.rev t.entries) with
     | "wall", last :: _ -> Printf.sprintf ", %.3f s" last.ts
@@ -522,7 +465,7 @@ let render t =
        t.clock span_s);
   render_serve buf t;
   render_phases buf t;
-  render_cache buf t;
+  render_cache buf events;
   render_convergence buf t;
   render_faults buf c;
   render_prune buf t;

@@ -13,9 +13,10 @@
       evaluations;
     - the fault/retry/quarantine table;
     - per-loop focused pool sizes (CFR's top-X pruning decisions);
-    - the derived {!counters}, which for a wall-clock trace reproduce
-      {!Ft_engine.Telemetry.snapshot} exactly (asserted in the test
-      suite). *)
+    - the engine counters, re-counted with the live engine's own rule
+      ({!Telemetry.of_events}).  A logical trace is first replayed as the
+      sequential schedule its canonical order stands for: the first query
+      of a key misses, builds and runs; later queries hit. *)
 
 type entry = { ts : float; event : Event.t }
 
@@ -26,30 +27,6 @@ val load : string -> (t, string) result
 (** Read a JSONL trace written by {!Export.write_jsonl}.  [Error]
     explains the first malformed line, a missing/foreign header, or an
     event-count mismatch with the header. *)
-
-type counters = {
-  builds : int;
-  runs : int;
-  cache_hits : int;
-  cache_misses : int;
-  retries : int;
-  build_failures : int;
-  crashes : int;
-  wrong_answers : int;
-  timeouts : int;
-  worker_crashes : int;
-  outliers : int;
-  quarantined : int;
-  quarantine_hits : int;
-  timers : (string * float) list;
-}
-(** Mirror of {!Ft_engine.Telemetry.snapshot}, recomputed from events. *)
-
-val derive : Event.t list -> counters
-(** Recompute telemetry from a trace.  Hits/misses come from the recorded
-    split when present, else from [cache_query] first-occurrence; builds
-    and runs fall back to the derived miss count when a logical trace
-    recorded no [build]/[run] events. *)
 
 val render : t -> string
 (** The multi-section plain-text report. *)

@@ -1,9 +1,14 @@
 (** Run telemetry for the evaluation engine: counters, per-phase wall-clock
     timers and a progress callback.
 
+    Counters move only through {!count}, the one rule mapping an
+    {!Event.t} to the counter it bumps.  The engine reports each fact once,
+    as an event it counts here and records in its {!Trace}; [funcy report]
+    re-counts an exported trace with the same rule ({!of_events}).
+
     All counters are [Atomic.t] and the timer table is mutex-protected, so
-    one telemetry value can be shared by every worker domain of a
-    {!Pool}.  Counters are observational only — no search result ever
+    one telemetry value can be shared by every worker domain of the
+    engine's pool.  Counters are observational only — no search result ever
     depends on them — which is why they are allowed to vary with worker
     scheduling (e.g. two workers racing on the same cache key record one
     hit and one miss in either order) while measured values do not. *)
@@ -30,30 +35,25 @@ type snapshot = {
 type t
 
 val create : unit -> t
-val reset : t -> unit
 
-val build : t -> unit
-val run : t -> unit
-val cache_hit : t -> unit
-val cache_miss : t -> unit
-val retry : t -> unit
-val build_failure : t -> unit
-val crash : t -> unit
-val wrong_answer : t -> unit
-val timeout : t -> unit
-val worker_crash : t -> unit
-val outlier : t -> unit
-val quarantine : t -> unit
-val quarantine_hit : t -> unit
+val count : t -> Event.t -> unit
+(** The counting rule.  [Cache_hit], [Cache_miss], [Build_done],
+    [Run_done], [Retry], [Worker_crashed], [Outlier], [Quarantine_added]
+    and [Quarantine_hit] each bump their counter by one; a
+    [Fault_injected] bumps the counter its kind names (["ice"],
+    ["crash"], ["wrong-answer"], ["timeout"]); a [Timer] adds its
+    seconds to the named timer.  Every other event moves nothing. *)
 
-val add_time : t -> string -> float -> unit
-(** Accumulate [seconds] onto a named phase timer. *)
+val of_events : Event.t list -> t
+(** A fresh telemetry that has {!count}ed each event, in order. *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t phase f] runs [f], accumulating its duration on the
     monotonic {!Ft_util.Clock} onto [phase] (even if [f] raises).
     Phases timed inside parallel workers accumulate CPU-side: their sum
-    may exceed elapsed wall time. *)
+    may exceed elapsed wall time.  No event is recorded: the daemon's
+    ["serve.run"] and ["serve.wait"] timers use this, where an event per
+    idle turn would flood its trace. *)
 
 val set_progress : t -> (completed:int -> expected:int -> unit) -> unit
 (** Install a progress callback, invoked (serialized) after every engine

@@ -191,121 +191,43 @@ let in_job t ~batch ~index f =
           Domain.DLS.set job_scope saved)
         f
 
-let emit t e = match t with None -> () | Some tr -> record tr e
+(* -- recording --------------------------------------------------------- *)
+
+(* The one recording primitive: a logical clock keeps only what
+   {!Event.logical} keeps, projected. *)
+let put tr e =
+  match tr.clock with
+  | Wall -> record tr e
+  | Logical -> (
+      match Event.logical e with Some e -> record tr e | None -> ())
+
+let emit t e = match t with None -> () | Some tr -> put tr e
 
 let span t phase f =
   match t with
   | None -> f ()
   | Some tr ->
-      record tr (Event.Phase_begin { phase });
-      Fun.protect ~finally:(fun () -> record tr (Event.Phase_end { phase })) f
+      put tr (Event.Phase_begin { phase });
+      Fun.protect ~finally:(fun () -> put tr (Event.Phase_end { phase })) f
 
-(* -- emission helpers -------------------------------------------------- *)
-
-let emit_wall t e =
-  match t with Some tr when tr.clock = Wall -> record tr e | _ -> ()
-
-let job_started t ~key = emit t (Event.Job_started { key })
+(* Nobody counts job starts and finishes, so these build the event only
+   when a trace is attached. *)
+let job_started t ~key =
+  match t with None -> () | Some tr -> put tr (Event.Job_started { key })
 
 let job_finished t ~key ~outcome ~elapsed_s =
-  emit t (Event.Job_finished { key; outcome; elapsed_s })
-
-let cache_lookup t ~key ~hit =
   match t with
   | None -> ()
-  | Some tr ->
-      record tr
-        (match tr.clock with
-        | Wall -> if hit then Event.Cache_hit { key } else Event.Cache_miss { key }
-        | Logical -> Event.Cache_query { key })
+  | Some tr -> put tr (Event.Job_finished { key; outcome; elapsed_s })
 
-let build_done t ~key = emit_wall t (Event.Build_done { key })
-let run_done t ~key = emit_wall t (Event.Run_done { key })
-let fault t ~key ~fault = emit t (Event.Fault_injected { key; fault })
-
-let retry t ~key ~attempt ~backoff_s =
-  emit t (Event.Retry { key; attempt; backoff_s })
-
-let outlier t ~key = emit t (Event.Outlier { key })
-
-let quarantine_added t ~key ~reason =
-  emit_wall t (Event.Quarantine_added { key; reason })
-
-let quarantine_hit t ~key ~reason =
-  emit t (Event.Quarantine_hit { key; reason })
-
-let worker_crashed t ~detail = emit_wall t (Event.Worker_crashed { detail })
-
-let checkpoint_saved t ~path = emit_wall t (Event.Checkpoint_saved { path })
-
-let checkpoint_loaded t ~path ~entries =
-  emit_wall t (Event.Checkpoint_loaded { path; entries })
-
-let timer t ~name ~seconds = emit_wall t (Event.Timer { name; seconds })
-
-let prune_kept t ~module_name ~kept =
-  emit t (Event.Prune_kept { module_name; kept })
-
-(* Adaptive-search rung lifecycle.  Allocator decisions are pure
-   functions of the observed (deterministic) scores, so these are
-   emitted under either clock and kept by normalization: a resumed or
-   re-scheduled run must reproduce the same promotions. *)
-
-let rung_opened t ~rung ~arms ~pulls =
-  emit t (Event.Rung_opened { rung; arms; pulls })
-
-let rung_closed t ~rung ~survivors =
-  emit t (Event.Rung_closed { rung; survivors })
-
-let arm_promoted t ~rung ~arm = emit t (Event.Arm_promoted { rung; arm })
-let arm_eliminated t ~rung ~arm = emit t (Event.Arm_eliminated { rung; arm })
-
-(* Server request-lifecycle events.  Arrival order, coalescing and queue
-   depth are properties of live traffic, not of any one search, so they
-   are recorded under either clock (a server trace is never part of the
-   logical byte-identity contract). *)
-
-let request_received t ~id ~tenant ~fingerprint =
-  emit t (Event.Request_received { id; tenant; fingerprint })
-
-let request_admitted t ~id ~queue_depth =
-  emit t (Event.Request_admitted { id; queue_depth })
-
-let request_coalesced t ~id ~leader =
-  emit t (Event.Request_coalesced { id; leader })
-
-let request_cached t ~id = emit t (Event.Request_cached { id })
-
-let request_rejected t ~id ~reason =
-  emit t (Event.Request_rejected { id; reason })
-
-let group_started t ~fingerprint ~members =
-  emit t (Event.Group_started { fingerprint; members })
-
-let group_finished t ~fingerprint ~members ~run_s =
-  emit t (Event.Group_finished { fingerprint; members; run_s })
-
-let group_cancelled t ~fingerprint = emit t (Event.Group_cancelled { fingerprint })
-let request_expired t ~id = emit t (Event.Request_expired { id })
-
-let request_replayed t ~id ~fingerprint =
-  emit t (Event.Request_replayed { id; fingerprint })
-
-let server_recovered t ~restarts ~replayed ~poisoned =
-  emit t (Event.Server_recovered { restarts; replayed; poisoned })
+let cache_lookup t ~key ~hit =
+  emit t (if hit then Event.Cache_hit { key } else Event.Cache_miss { key })
 
 (* -- resume-invariant normalization ------------------------------------ *)
 
 (* Project an event onto the resume-invariant skeleton (see the .mli for
    the rule-by-rule rationale), or [None] to drop it. *)
 let normalize_event = function
-  (* Wall-only schedule detail: which worker took the miss, performed the
-     build, saved the snapshot... is scheduling, not search. *)
-  | Event.Cache_hit { key } | Event.Cache_miss { key } ->
-      Some (Event.Cache_query { key })
-  | Event.Build_done _ | Event.Run_done _ | Event.Timer _
-  | Event.Checkpoint_saved _ | Event.Checkpoint_loaded _
-  | Event.Quarantine_added _ | Event.Worker_crashed _ -> None
   (* The documented resume boundary: a key whose fault verdict was
      snapshotted replays as one Quarantine_hit instead of the original
      Fault_injected/Retry sequence — same verdict, different evidence. *)
@@ -319,7 +241,10 @@ let normalize_event = function
   | Event.Group_finished _ | Event.Group_cancelled _
   | Event.Request_expired _ | Event.Request_replayed _
   | Event.Server_recovered _ -> None
-  | e -> Some e
+  (* Schedule detail — which worker took the miss, performed the build,
+     saved the snapshot — is dropped or projected as a logical clock
+     does. *)
+  | e -> Event.logical e
 
 let resume_invariant st = Option.is_some (normalize_event st.event)
 

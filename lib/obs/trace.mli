@@ -8,9 +8,9 @@
     domain; ordering is reconstructed afterwards (see below), never from
     arrival time.
 
-    Every emission helper takes a [t option] and is a no-op on [None], so
-    call sites stay one-liners and a trace-less run executes the exact
-    code path it always did.
+    Every event reaches a trace through {!emit}, which takes a [t option]
+    and records nothing on [None], so call sites stay one-liners and a
+    trace-less run records nothing.
 
     {2 Ordering and determinism}
 
@@ -33,12 +33,11 @@
     {2 Clock modes}
 
     [Wall] stamps events with monotonic seconds since trace creation and
-    additionally records the schedule-dependent events (hit/miss split,
-    builds/runs performed, timer accumulations, checkpoint saves) that
-    make the {!Ft_engine.Telemetry} counters derivable from the trace.
-    [Logical] suppresses those — cache lookups degrade to {!Event.Cache_query}
-    — and stamps nothing but the canonical order itself, making the
-    exported bytes reproducible. *)
+    records every event, so {!Telemetry.of_events} re-counts a wall trace
+    to the live counters.  [Logical] stamps nothing but the canonical
+    order itself and records each event as {!Event.logical} projects it:
+    the schedule-dependent events are dropped and cache lookups degrade
+    to {!Event.Cache_query}, making the exported bytes reproducible. *)
 
 type clock = Wall | Logical
 
@@ -94,83 +93,23 @@ val span : t option -> Event.phase -> (unit -> 'a) -> 'a
 (** Bracket [f] with {!Event.Phase_begin}/{!Event.Phase_end} (emitted even
     if [f] raises). *)
 
-(* -- emission helpers (each a no-op on [None]) ------------------------- *)
+(* -- recording --------------------------------------------------------- *)
+
+val emit : t option -> Event.t -> unit
+(** Record one event: nothing on [None]; the event itself under [Wall];
+    its {!Event.logical} projection, if any, under [Logical]. *)
 
 val job_started : t option -> key:string -> unit
 
 val job_finished :
   t option -> key:string -> outcome:string -> elapsed_s:float option -> unit
+(** {!emit} of {!Event.Job_started} and {!Event.Job_finished}, built only
+    when a trace is attached: no counter reads them, so an untraced job
+    need not allocate them. *)
 
 val cache_lookup : t option -> key:string -> hit:bool -> unit
-(** Records {!Event.Cache_hit}/{!Event.Cache_miss} under a [Wall] clock;
-    under [Logical] both sides collapse to {!Event.Cache_query}, because
-    which racing worker takes the miss is scheduling, not search. *)
-
-val build_done : t option -> key:string -> unit  (** [Wall] only *)
-
-val run_done : t option -> key:string -> unit  (** [Wall] only *)
-
-val fault : t option -> key:string -> fault:string -> unit
-
-val retry : t option -> key:string -> attempt:int -> backoff_s:float -> unit
-
-val outlier : t option -> key:string -> unit
-
-val quarantine_added : t option -> key:string -> reason:string -> unit
-(** [Wall] only: under workers racing on one faulty key, {e who} inserts
-    is scheduling (cf. {!cache_lookup}). *)
-
-val quarantine_hit : t option -> key:string -> reason:string -> unit
-
-val worker_crashed : t option -> detail:string -> unit
-(** [Wall] only: a crashed attempt is retried to the same logical events,
-    so logical traces stay byte-identical across backends and kills. *)
-
-val checkpoint_saved : t option -> path:string -> unit  (** [Wall] only *)
-
-val checkpoint_loaded : t option -> path:string -> entries:int -> unit
-(** [Wall] only *)
-
-val timer : t option -> name:string -> seconds:float -> unit
-(** [Wall] only: durations are wall-clock facts. *)
-
-val prune_kept : t option -> module_name:string -> kept:int -> unit
-
-val rung_opened : t option -> rung:int -> arms:int -> pulls:int -> unit
-val rung_closed : t option -> rung:int -> survivors:int -> unit
-val arm_promoted : t option -> rung:int -> arm:int -> unit
-
-val arm_eliminated : t option -> rung:int -> arm:int -> unit
-(** Adaptive-sh allocator decisions (see {!Event.Rung_opened} et al.):
-    deterministic search facts, emitted under either clock and kept by
-    {!normalized_lines}. *)
-
-(** {3 Server request-lifecycle events}
-
-    Emitted by {!Ft_serve.Server} at each step of a request's life
-    (receive → admit/coalesce/reject → group run → respond), under
-    either clock: they describe live traffic, which no determinism
-    contract covers, and [funcy report] renders them as the server
-    section.  All are dropped by {!normalized_lines}. *)
-
-val request_received :
-  t option -> id:string -> tenant:string -> fingerprint:string -> unit
-
-val request_admitted : t option -> id:string -> queue_depth:int -> unit
-val request_coalesced : t option -> id:string -> leader:string -> unit
-val request_cached : t option -> id:string -> unit
-val request_rejected : t option -> id:string -> reason:string -> unit
-val group_started : t option -> fingerprint:string -> members:int -> unit
-
-val group_finished :
-  t option -> fingerprint:string -> members:int -> run_s:float -> unit
-
-val group_cancelled : t option -> fingerprint:string -> unit
-val request_expired : t option -> id:string -> unit
-val request_replayed : t option -> id:string -> fingerprint:string -> unit
-
-val server_recovered :
-  t option -> restarts:int -> replayed:int -> poisoned:int -> unit
+(** {!emit} of {!Event.Cache_hit} or {!Event.Cache_miss}.  Kept for
+    perfbench's micro suite; the engine emits the events itself. *)
 
 (** {2 Resume-invariant normalization}
 
@@ -179,11 +118,9 @@ val server_recovered :
     byte-identical, for exactly two documented reasons, and normalization
     removes exactly them:
 
-    - {b schedule detail}: the [Wall]-only events (hit/miss split, builds,
-      runs, timers, checkpoint saves/loads, quarantine insertions, worker
-      crashes) depend on what the cache already held and who raced whom —
-      [Cache_hit]/[Cache_miss] are collapsed to {!Event.Cache_query}, the
-      rest are dropped (a [Logical] trace never records them anyway);
+    - {b schedule detail}: what the cache already held and who raced
+      whom — events are projected through {!Event.logical}, exactly as a
+      [Logical] trace records them;
     - {b the resume boundary}: a key whose fault verdict was quarantined
       before the kill replays after resume as a single [Quarantine_hit]
       where the original run recorded the [Fault_injected]/[Retry]
@@ -196,10 +133,13 @@ val server_recovered :
       verdict queries the cache on the way to the fault, replaying it
       from a snapshot does not.
 
+    The server's request-lifecycle events are dropped too: they describe
+    live traffic, which no determinism contract covers.
+
     Everything else — batch structure, job starts/finishes with outcomes,
-    cache queries, outlier degradations, phase spans, prune decisions —
-    must be byte-identical between a fresh and a resumed run, at any
-    [--jobs] count, on either backend. *)
+    cache queries, outlier degradations, phase spans, prune decisions,
+    adaptive-sh rung decisions — must be byte-identical between a fresh
+    and a resumed run, at any [--jobs] count, on either backend. *)
 
 val resume_invariant : stamped -> bool
 (** Does this event's {e kind} survive normalization?  (The per-key

@@ -1,6 +1,6 @@
 module Engine = Ft_engine.Engine
 module Pool = Ft_engine.Pool
-module Telemetry = Ft_engine.Telemetry
+module Telemetry = Ft_obs.Telemetry
 module Checkpoint = Ft_engine.Checkpoint
 module Result = Funcytuner.Result
 module Tuner = Funcytuner.Tuner

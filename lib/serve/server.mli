@@ -68,7 +68,7 @@ val default_config : socket_path:string -> config
 
 val serve :
   ?trace:Ft_obs.Trace.t ->
-  ?telemetry:Ft_engine.Telemetry.t ->
+  ?telemetry:Ft_obs.Telemetry.t ->
   ?on_ready:(unit -> unit) ->
   config ->
   Runner.t ->

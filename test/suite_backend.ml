@@ -14,7 +14,7 @@ module Atomic_file = Ft_engine.Atomic_file
 module Cache = Ft_engine.Cache
 module Quarantine = Ft_engine.Quarantine
 module Engine = Ft_engine.Engine
-module Telemetry = Ft_engine.Telemetry
+module Telemetry = Ft_obs.Telemetry
 module Exec = Ft_machine.Exec
 module Trace = Ft_obs.Trace
 module Export = Ft_obs.Export
@@ -526,12 +526,13 @@ let test_worker_crashes_derivable_from_trace () =
        (sample_jobs 12));
   let s = Telemetry.snapshot (Engine.telemetry engine) in
   let d =
-    Ft_obs.Report.derive
-      (List.map (fun st -> st.Trace.event) (Trace.events trace))
+    Telemetry.snapshot
+      (Telemetry.of_events
+         (List.map (fun st -> st.Trace.event) (Trace.events trace)))
   in
   Alcotest.(check bool) "kills happened" true (s.Telemetry.worker_crashes > 0);
   Alcotest.(check int) "worker_crashes derivable from wall trace"
-    s.Telemetry.worker_crashes d.Ft_obs.Report.worker_crashes
+    s.Telemetry.worker_crashes d.Telemetry.worker_crashes
 
 (* --- shared cache across processes ------------------------------------ *)
 

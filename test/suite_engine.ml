@@ -5,7 +5,7 @@
 open Ft_prog
 module Pool = Ft_engine.Pool
 module Cache = Ft_engine.Cache
-module Telemetry = Ft_engine.Telemetry
+module Telemetry = Ft_obs.Telemetry
 module Engine = Ft_engine.Engine
 module Exec = Ft_machine.Exec
 module Context = Funcytuner.Context
@@ -444,16 +444,13 @@ let test_telemetry_progress_and_timers () =
     "ticks report completed/expected"
     [ (3, 3); (2, 3); (1, 3) ]
     !seen;
-  Telemetry.add_time t "phase" 1.5;
-  Telemetry.add_time t "phase" 0.5;
+  Telemetry.count t (Ft_obs.Event.Timer { name = "phase"; seconds = 1.5 });
+  Telemetry.count t (Ft_obs.Event.Timer { name = "phase"; seconds = 0.5 });
   let s = Telemetry.snapshot t in
   Alcotest.(check (list (pair string (float 1e-9))))
     "timers accumulate"
     [ ("phase", 2.0) ]
-    s.Telemetry.timers;
-  Telemetry.reset t;
-  let s = Telemetry.snapshot t in
-  Alcotest.(check int) "reset clears" 0 (List.length s.Telemetry.timers)
+    s.Telemetry.timers
 
 let test_render_mentions_counters () =
   let engine = Engine.create () in

@@ -10,7 +10,7 @@ module Engine = Ft_engine.Engine
 module Cache = Ft_engine.Cache
 module Quarantine = Ft_engine.Quarantine
 module Checkpoint = Ft_engine.Checkpoint
-module Telemetry = Ft_engine.Telemetry
+module Telemetry = Ft_obs.Telemetry
 module Stats = Ft_util.Stats
 module Rng = Ft_util.Rng
 module Cv = Ft_flags.Cv

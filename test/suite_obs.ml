@@ -1,6 +1,7 @@
 (* Tests for ft_obs: trace determinism across worker counts, exporter
-   round-trips, report rendering, and — the load-bearing one — that every
-   Telemetry counter is recomputable from a wall-clock trace. *)
+   round-trips, report rendering, the one counting rule, and — the
+   load-bearing ones — that a wall-clock trace re-counts to the live
+   telemetry and projects to the logical trace of the same run. *)
 
 module Trace = Ft_obs.Trace
 module Event = Ft_obs.Event
@@ -8,7 +9,7 @@ module Export = Ft_obs.Export
 module Report = Ft_obs.Report
 module Json = Ft_obs.Json
 module Engine = Ft_engine.Engine
-module Telemetry = Ft_engine.Telemetry
+module Telemetry = Ft_obs.Telemetry
 module Tuner = Funcytuner.Tuner
 
 let swim = Option.get (Ft_suite.Suite.find "swim")
@@ -33,6 +34,10 @@ let faulty_policy =
     timeout_s = 60.0;
     repeats = 3;
   }
+
+let event_line e =
+  Json.to_string
+    (Json.Obj (("ev", Json.String (Event.name e)) :: Event.fields e))
 
 let jsonl ?policy ~clock ~jobs ~pool () =
   let trace = Trace.create ~clock () in
@@ -62,36 +67,70 @@ let test_trace_off_invariance () =
   in
   Alcotest.(check bool) "tracing is observational only" true (bare = traced)
 
+(* --- the counting rule ------------------------------------------------- *)
+
+let test_counting_rule () =
+  let zero = Telemetry.snapshot (Telemetry.create ()) in
+  let key = "k" in
+  let fault kind = Event.Fault_injected { key; fault = kind } in
+  List.iter
+    (fun (event, expected) ->
+      let t = Telemetry.create () in
+      Telemetry.count t event;
+      Alcotest.(check bool) (event_line event) true
+        (Telemetry.snapshot t = expected))
+    [
+      (Event.Cache_hit { key }, { zero with cache_hits = 1 });
+      (Event.Cache_miss { key }, { zero with cache_misses = 1 });
+      (Event.Build_done { key }, { zero with builds = 1 });
+      (Event.Run_done { key }, { zero with runs = 1 });
+      ( Event.Retry { key; attempt = 0; backoff_s = 0.1 },
+        { zero with retries = 1 } );
+      (fault "ice", { zero with build_failures = 1 });
+      (fault "crash", { zero with crashes = 1 });
+      (fault "wrong-answer", { zero with wrong_answers = 1 });
+      (fault "timeout", { zero with timeouts = 1 });
+      ( Event.Worker_crashed { detail = "signal 9" },
+        { zero with worker_crashes = 1 } );
+      (Event.Outlier { key }, { zero with outliers = 1 });
+      ( Event.Quarantine_added { key; reason = "crashed" },
+        { zero with quarantined = 1 } );
+      ( Event.Quarantine_hit { key; reason = "crashed" },
+        { zero with quarantine_hits = 1 } );
+      ( Event.Timer { name = "build"; seconds = 1.5 },
+        { zero with timers = [ ("build", 1.5) ] } );
+      (* Nobody counts these. *)
+      (Event.Job_started { key }, zero);
+      (Event.Job_finished { key; outcome = "ok"; elapsed_s = Some 1.0 }, zero);
+      (Event.Cache_query { key }, zero);
+      (Event.Checkpoint_saved { path = "ck" }, zero);
+      (Event.Phase_begin { phase = Event.Collect }, zero);
+      (Event.Rung_opened { rung = 0; arms = 4; pulls = 8 }, zero);
+      ( Event.Request_received { id = "r"; tenant = "t"; fingerprint = "f" },
+        zero );
+    ]
+
 (* --- counter derivability ---------------------------------------------- *)
 
-let check_counters ~msg (s : Telemetry.snapshot) (d : Report.counters) =
-  let ck name a b = Alcotest.(check int) (msg ^ ": " ^ name) a b in
-  ck "builds" s.Telemetry.builds d.Report.builds;
-  ck "runs" s.Telemetry.runs d.Report.runs;
-  ck "cache_hits" s.Telemetry.cache_hits d.Report.cache_hits;
-  ck "cache_misses" s.Telemetry.cache_misses d.Report.cache_misses;
-  ck "retries" s.Telemetry.retries d.Report.retries;
-  ck "build_failures" s.Telemetry.build_failures d.Report.build_failures;
-  ck "crashes" s.Telemetry.crashes d.Report.crashes;
-  ck "wrong_answers" s.Telemetry.wrong_answers d.Report.wrong_answers;
-  ck "timeouts" s.Telemetry.timeouts d.Report.timeouts;
-  ck "outliers" s.Telemetry.outliers d.Report.outliers;
-  ck "quarantined" s.Telemetry.quarantined d.Report.quarantined;
-  ck "quarantine_hits" s.Telemetry.quarantine_hits d.Report.quarantine_hits;
-  ck "worker_crashes" s.Telemetry.worker_crashes d.Report.worker_crashes;
-  let sorted l = List.sort compare l in
+(* The live counters and a wall trace's re-count use the same rule, so
+   they agree exactly when every counted event reached the trace. *)
+let check_counters ~msg (s : Telemetry.snapshot) trace =
+  let d =
+    Telemetry.snapshot
+      (Telemetry.of_events
+         (List.map (fun st -> st.Trace.event) (Trace.events trace)))
+  in
+  Alcotest.(check bool) (msg ^ ": counters") true
+    ({ s with timers = [] } = { d with timers = [] });
   Alcotest.(check (list (pair string (float 1e-9))))
-    (msg ^ ": timers") (sorted s.Telemetry.timers) (sorted d.Report.timers)
-
-let derive_of_trace trace =
-  Report.derive (List.map (fun s -> s.Trace.event) (Trace.events trace))
+    (msg ^ ": timers") s.timers d.timers
 
 let test_counters_derivable_fault_free () =
   let trace = Trace.create ~clock:Trace.Wall () in
   let _, engine = run_cfr ~trace ~jobs:1 ~pool:24 () in
   check_counters ~msg:"fault-free"
     (Telemetry.snapshot (Engine.telemetry engine))
-    (derive_of_trace trace)
+    trace
 
 let test_counters_derivable_faulty () =
   (* A fault rate high enough to exercise every counter: ICEs, crashes,
@@ -103,7 +142,29 @@ let test_counters_derivable_faulty () =
   let s = Telemetry.snapshot (Engine.telemetry engine) in
   Alcotest.(check bool) "faults actually injected" true
     (Telemetry.faults s > 0);
-  check_counters ~msg:"faulty" s (derive_of_trace trace)
+  check_counters ~msg:"faulty" s trace
+
+(* --- clock projection -------------------------------------------------- *)
+
+let test_logical_is_projection_of_wall () =
+  (* Every emission path obeys one clock rule: the same run traced under
+     each clock records exactly the wall events, projected.  Events, not
+     stamps: sequence numbers shift where events are dropped. *)
+  List.iter
+    (fun (msg, policy) ->
+      let events clock =
+        let trace = Trace.create ~clock () in
+        ignore (run_cfr ?policy ~trace ~jobs:1 ~pool:60 ());
+        List.map (fun st -> st.Trace.event) (Trace.events trace)
+      in
+      let wall = events Trace.Wall in
+      let projected = List.filter_map Event.logical wall in
+      Alcotest.(check bool) (msg ^ ": the projection drops something") true
+        (List.length projected < List.length wall);
+      Alcotest.(check (list string)) msg
+        (List.map event_line projected)
+        (List.map event_line (events Trace.Logical)))
+    [ ("fault-free", None); ("faulty", Some faulty_policy) ]
 
 (* --- exporters and report ---------------------------------------------- *)
 
@@ -199,6 +260,10 @@ let suite =
         test_counters_derivable_fault_free;
       Alcotest.test_case "counters derivable (faulty)" `Quick
         test_counters_derivable_faulty;
+      Alcotest.test_case "counting rule: each event moves its counter"
+        `Quick test_counting_rule;
+      Alcotest.test_case "logical trace is the wall trace projected" `Quick
+        test_logical_is_projection_of_wall;
       Alcotest.test_case "jsonl round-trip (wall)" `Quick test_jsonl_roundtrip;
       Alcotest.test_case "jsonl round-trip (logical)" `Quick
         test_jsonl_roundtrip_logical;
