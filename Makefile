@@ -25,24 +25,44 @@ smoke: build
 # Fault-layer smoke (see DESIGN.md section 9):
 #   1. an armed fault model keeps --jobs 4 byte-identical to --jobs 1;
 #   2. a run killed mid-search by --die-after resumes from its checkpoint
-#      to output byte-identical to an uninterrupted run.
+#      to output byte-identical to an uninterrupted run;
+#   3. two concurrent runs (seeds 1 and 2) sharing one checkpoint log
+#      each print what they print alone, and a third seed-1 run resumes
+#      from the shared log without building anything.  The pair runs the
+#      built binary directly: under `dune exec` the first run is over
+#      before the second starts, and two dune processes starting at once
+#      can trip over each other's build lock.
 smoke-faults: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 --jobs 1 \
 	  > _build/smoke-faults-j1.out
 	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 --jobs 4 \
 	  > _build/smoke-faults-j4.out
 	cmp _build/smoke-faults-j1.out _build/smoke-faults-j4.out
-	rm -f _build/smoke-faults.snap _build/smoke-faults.snap.quarantine \
-	  _build/smoke-faults.snap.commit
+	rm -f _build/smoke-faults.log _build/smoke-faults.log.lock
 	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 \
-	  --checkpoint _build/smoke-faults.snap --die-after 60 \
+	  --checkpoint _build/smoke-faults.log --die-after 60 \
 	  > /dev/null 2>/dev/null; test $$? -eq 99
 	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 \
-	  --checkpoint _build/smoke-faults.snap > _build/smoke-faults-resumed.out
+	  --checkpoint _build/smoke-faults.log > _build/smoke-faults-resumed.out
 	cmp _build/smoke-faults-resumed.out _build/smoke-faults-j1.out
-	rm -f _build/smoke-faults.snap _build/smoke-faults.snap.quarantine \
-	  _build/smoke-faults.snap.commit
-	@echo "smoke-faults OK: fault schedule jobs-independent, kill-and-resume bit-identical"
+	rm -f _build/smoke-faults.log _build/smoke-faults.log.lock
+	rm -f _build/smoke-shared.log _build/smoke-shared.log.lock
+	$(FUNCY) tune -b swim -a cfr -k 120 --seed 1 > _build/smoke-shared-solo1.out
+	$(FUNCY) tune -b swim -a cfr -k 120 --seed 2 > _build/smoke-shared-solo2.out
+	_build/default/bin/funcy.exe tune -b swim -a cfr -k 120 --seed 1 \
+	  --checkpoint _build/smoke-shared.log > _build/smoke-shared-1.out & \
+	  pid=$$!; \
+	  _build/default/bin/funcy.exe tune -b swim -a cfr -k 120 --seed 2 \
+	    --checkpoint _build/smoke-shared.log > _build/smoke-shared-2.out \
+	    || { wait $$pid; exit 1; }; \
+	  wait $$pid
+	cmp _build/smoke-shared-1.out _build/smoke-shared-solo1.out
+	cmp _build/smoke-shared-2.out _build/smoke-shared-solo2.out
+	$(FUNCY) tune -b swim -a cfr -k 120 --seed 1 --stats \
+	  --checkpoint _build/smoke-shared.log 2>/dev/null \
+	  | grep -Eq '^  builds +0$$'
+	rm -f _build/smoke-shared.log _build/smoke-shared.log.lock
+	@echo "smoke-faults OK: fault schedule jobs-independent, kill-and-resume bit-identical, shared log consistent"
 
 # Tracing smoke (see DESIGN.md section 10):
 #   1. a logical-clock trace of the same tune is byte-identical at

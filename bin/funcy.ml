@@ -133,16 +133,6 @@ let nodes_t =
            from one shared cursor.  Results are bit-identical for any \
            value.")
 
-let shared_cache_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "shared-cache" ] ~docv:"PATH"
-        ~doc:
-          "Share the measurement cache with concurrent funcy processes \
-           through $(docv): adopt its entries at startup and merge ours \
-           back at exit, under an exclusive file lock.")
-
 let stats_t =
   Arg.(
     value & flag
@@ -304,10 +294,13 @@ let resilience_t =
       & opt (some string) None
       & info [ "checkpoint" ] ~docv:"PATH"
           ~doc:
-            "Periodically snapshot the measurement cache (and quarantine \
-             list) to $(docv); if $(docv) already exists, resume from it \
-             — a killed search re-run with the same arguments reaches a \
-             bit-identical result.")
+            "Keep the measurement cache and quarantine list in the log \
+             $(docv), appending the run's new entries 64 at a time and at \
+             exit; if $(docv) already exists, resume from it — a killed \
+             search re-run with the same arguments reaches a bit-identical \
+             result.  Concurrent funcy processes may share one $(docv): \
+             each adopts the entries the others append, under an exclusive \
+             lock on $(docv).lock.")
   in
   let die_after_t =
     Arg.(
@@ -341,9 +334,9 @@ let policy_of_resilience r =
   }
 
 (* Build the engine the session (or lab) will evaluate through: arm the
-   policy and, with --checkpoint, attach the snapshot file — resuming from
-   it when it already exists.  Resume chatter goes to stderr so stdout
-   stays byte-comparable across resumed runs. *)
+   policy and, with --checkpoint, attach the log — resuming from it when
+   it already exists.  Resume chatter goes to stderr so stdout stays
+   byte-comparable across resumed runs. *)
 let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
   let policy = policy_of_resilience r in
   match r.checkpoint with
@@ -352,7 +345,7 @@ let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
   | Some path ->
       let ck = Checkpoint.create ~path () in
       let cache, quarantine =
-        match if Checkpoint.exists ck then Checkpoint.load ck else None with
+        match Checkpoint.load ck with
         | Some (cache, quarantine) ->
             Printf.eprintf
               "funcy: resuming from %s (%d cached summaries, %d quarantined)\n%!"
@@ -366,22 +359,6 @@ let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
       in
       Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~cache
         ~quarantine ~policy ~checkpoint:ck ?trace ()
-
-(* --shared-cache: one [Cache.sync] against the shared file at startup
-   (adopting whatever other processes committed) and one at exit
-   (publishing what this run measured).  Chatter goes to stderr so stdout
-   stays byte-comparable with unshared runs. *)
-let adopt_shared_cache engine = function
-  | None -> ()
-  | Some path ->
-      let adopted = Cache.sync (Engine.cache engine) ~path in
-      if adopted > 0 then
-        Printf.eprintf "funcy: adopted %d cached summaries from %s\n%!"
-          adopted path
-
-let publish_shared_cache engine = function
-  | None -> ()
-  | Some path -> ignore (Cache.sync (Engine.cache engine) ~path)
 
 (* The simulated crash still flushes the checkpoint and exports the trace
    collected so far: a post-mortem [funcy report] on a crashed run is
@@ -553,18 +530,17 @@ let tune_cmd =
       & info [ "warm-start" ] ~docv:"CACHE"
           ~doc:
             "adaptive-sh only: a previous run's persistent cache file \
-             (e.g. a --shared-cache); arms whose assignments it already \
+             (e.g. a --checkpoint log); arms whose assignments it already \
              holds are pre-scored as allocator priors, costing no \
              budget.")
   in
-  let run program platform seed pool jobs backend kill_workers nodes
-      shared_cache stats resilience tspec algo top_x budget warm_start =
+  let run program platform seed pool jobs backend kill_workers nodes stats
+      resilience tspec algo top_x budget warm_start =
     let trace = make_trace tspec in
     let engine =
       make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
         ?trace resilience
     in
-    adopt_shared_cache engine shared_cache;
     arm_die_after engine
       ~on_die:(fun () -> export_trace tspec trace)
       resilience.die_after;
@@ -584,7 +560,6 @@ let tune_cmd =
     print_newline ();
     Fun.protect ~finally:(fun () ->
         Engine.flush_checkpoint engine;
-        publish_shared_cache engine shared_cache;
         export_trace tspec trace;
         maybe_stats stats (Funcytuner.Context.telemetry ctx))
     @@ fun () ->
@@ -660,7 +635,7 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:"Run one auto-tuning algorithm")
     Term.(
       const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ shared_cache_t $ stats_t
+      $ backend_t $ kill_workers_t $ nodes_t $ stats_t
       $ resilience_t $ trace_spec_t $ algo_t $ top_x_t $ budget_t
       $ warm_start_t)
 
@@ -895,8 +870,8 @@ let experiment_cmd =
             (Printf.sprintf "%s (default: all of them but faults)."
                (String.concat " " experiment_names)))
   in
-  let run seed pool jobs backend kill_workers nodes shared_cache stats
-      resilience tspec csv_dir names =
+  let run seed pool jobs backend kill_workers nodes stats resilience tspec
+      csv_dir names =
     (* Created before any work, so a bad directory cannot cost a run. *)
     Option.iter
       (fun dir ->
@@ -913,7 +888,6 @@ let experiment_cmd =
       make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
         ?trace resilience
     in
-    adopt_shared_cache engine shared_cache;
     arm_die_after engine
       ~on_die:(fun () -> export_trace tspec trace)
       resilience.die_after;
@@ -967,7 +941,6 @@ let experiment_cmd =
     in
     Fun.protect ~finally:(fun () ->
         Engine.flush_checkpoint engine;
-        publish_shared_cache engine shared_cache;
         export_trace tspec trace;
         maybe_stats stats (Ft_experiments.Lab.telemetry lab))
     @@ fun () ->
@@ -977,7 +950,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate paper tables and figures")
     Term.(
       const run $ seed_t $ pool_t $ jobs_t $ backend_t $ kill_workers_t
-      $ nodes_t $ shared_cache_t $ stats_t $ resilience_t $ trace_spec_t
+      $ nodes_t $ stats_t $ resilience_t $ trace_spec_t
       $ csv_dir_t $ names_t)
 
 (* --- report ------------------------------------------------------------ *)
@@ -1046,8 +1019,8 @@ let serve_cmd =
       & info [ "state-dir" ] ~docv:"DIR"
           ~doc:
             "Durable state directory (created if missing): a \
-             write-ahead request journal plus per-search checkpoint \
-             snapshots.  A daemon restarted on the same $(docv) replays \
+             write-ahead request journal plus one checkpoint log per \
+             running search.  A daemon restarted on the same $(docv) replays \
              unfinished requests, answers completed fingerprints from \
              the durable memo, resumes half-finished searches from \
              their checkpoints, and quarantines specs that keep \
@@ -1080,8 +1053,8 @@ let serve_cmd =
       & opt (bounded_int_arg ~what:"checkpoint-every" ~min_v:1) 32
       & info [ "checkpoint-every" ] ~docv:"N"
           ~doc:
-            "With $(b,--state-dir): snapshot a running search's cache \
-             every $(docv) state-changing events (default 32).")
+            "With $(b,--state-dir): sync a running search's checkpoint \
+             log every $(docv) state-changing events (default 32).")
   in
   let supervise_t =
     Arg.(

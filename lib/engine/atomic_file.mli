@@ -4,16 +4,18 @@
     the {e same directory} as [path] (so the final rename never crosses a
     filesystem) and atomically renames it over [path].  A crash at any
     point leaves either the previous file intact or the complete new one —
-    never a truncated mixture — which is the property {!Cache.save},
-    {!Quarantine.save} and {!Checkpoint} snapshots rely on.
+    never a truncated mixture — which is the property {!Cache.save} and
+    the compaction of a cache log by {!Cache.sync} rely on.  The rename
+    is not preceded by an fsync, so a crash of the machine (not just the
+    process) may still expose an empty or partial new file.
 
-    The one thing a crash {e can} leak is the temporary itself: a writer
-    SIGKILLed between creating it and the rename leaves a
+    The one thing a process crash {e can} leak is the temporary itself: a
+    writer SIGKILLed between creating it and the rename leaves a
     [.<basename><rand>.tmp] orphan that no in-process cleanup will ever
     reclaim.  {!sweep} removes such orphans once they are older than a
     grace period — old enough that no live writer can still own them —
-    and {!Cache} runs it under the sidecar lock on [load]/[sync], so
-    long-running shared-cache deployments don't accumulate litter. *)
+    and {!Cache} runs it under the sidecar lock on [load]/[sync], so a
+    long-lived shared checkpoint log doesn't accumulate litter. *)
 
 val write : path:string -> (out_channel -> unit) -> unit
 (** @raise Sys_error as [open_out]/[Sys.rename] would; the temporary file

@@ -14,15 +14,15 @@
 
     {2 On-disk formats}
 
-    {!save} and {!sync} write one format, {e binary} (v2):
-    {!Cache_codec}'s append-only length-prefixed records, floats stored
-    as their IEEE-754 bits.  The loader also reads {e text} (v1), one
-    line per entry with floats in hexadecimal ([%h]), picked by the
-    magic first line, so old checkpoints and [--warm-start] files keep
-    loading; the first {!sync} against a v1 file migrates it to binary
-    in place.  Both read back bit-exactly, so a re-run of yesterday's
-    experiment, or a greedy run sharing a collection with CFR, never
-    re-measures a binary it has seen. *)
+    {!save} and {!sync} write one format, the v3 log of {!Cache_codec}:
+    append-only, checksummed frames holding summaries and, for a
+    {!Checkpoint}, quarantine entries.  The loader also reads v2 binary
+    and v1 text files, picked by the magic first line, so old
+    checkpoints and [--warm-start] files keep loading, and the first
+    {!sync} against one migrates it to v3 in place.  All read back
+    bit-exactly, so a re-run of yesterday's experiment, or a greedy run
+    sharing a collection with CFR, never re-measures a binary it has
+    seen. *)
 
 type t
 
@@ -40,8 +40,8 @@ val bindings : t -> (string * Ft_machine.Exec.summary) list
 (** All entries, sorted by key (deterministic; used by [save] and tests). *)
 
 val save : t -> path:string -> unit
-(** Write every entry to [path] in the binary format, atomically: the
-    table is written to a temporary file in the same directory and
+(** Write every entry to [path] as a v3 log of summaries, atomically:
+    the table is written to a temporary file in the same directory and
     renamed over [path], so a crash mid-save can never leave a truncated
     cache on disk ({!Atomic_file}).
     @raise Invalid_argument if a key, region name or loop count exceeds
@@ -52,21 +52,21 @@ exception Corrupt of { path : string; line : int; reason : string }
     or invalid magic header), with the offending line number. *)
 
 val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
-(** [load path] reads a binary table written by {!save} or a v1 text
-    one, auto-detected from the magic line.  Malformed entries {e after}
-    a valid magic header (torn writes, bit rot) are skipped, reporting
-    each to [warn] with its line number — for binary files, the record
-    ordinal offset by the header line — and a reason (default: one
-    warning line on stderr), rather than aborting the load: a partially
-    corrupt cache still resumes everything that survived.  A tail not
-    sealed by its commit marker (text: the terminating newline; binary:
-    the full length-prefixed frame) is treated as torn and skipped too,
-    {e even if it would parse}: a float truncated mid-digits is a
-    different valid float, so only fully committed records are trusted.
-    Before reading, stale {!Atomic_file} temporaries around [path]
-    (orphans of writers SIGKILLed mid-save, older than the grace
-    period) are swept under {!with_file_lock} — the lock is only taken
-    when litter actually exists.
+(** [load path] reads the summaries of a v3 log or a v2 or v1 cache,
+    auto-detected from the magic line; quarantine records are left out.
+    Malformed entries {e after} a valid magic header (torn writes, bit
+    rot, failed checksums) are skipped, reporting each to [warn] with its
+    line number — for binary files, the record ordinal offset by the
+    header line — and a reason (default: one warning line on stderr),
+    rather than aborting the load: a partially corrupt cache still
+    resumes everything that survived.  A tail not sealed by its commit
+    marker (text: the terminating newline; binary: the full
+    length-prefixed frame) is treated as torn and skipped too, {e even
+    if it would parse}: a float truncated mid-digits is a different
+    valid float, so only fully committed records are trusted.  Before
+    reading, stale {!Atomic_file} temporaries around [path] (orphans of
+    writers SIGKILLed mid-save, older than the grace period) are swept
+    under the lock {!sync} takes — only when litter actually exists.
     @raise Corrupt when the header is missing, wrong or truncated;
     [Sys_error] if the file is unreadable. *)
 
@@ -75,34 +75,37 @@ val merge : t -> from:t -> int
     values for equal keys are bit-identical by the determinism argument,
     so precedence is moot).  Returns the number adopted. *)
 
-val with_file_lock : path:string -> (unit -> 'a) -> 'a
-(** Run [f] holding an exclusive advisory lock on [path ^ ".lock"]
-    (created on demand; blocks until granted; released even if [f]
-    raises).  The sidecar file, not [path] itself, carries the lock:
-    {!save} replaces [path] by rename, which would orphan a lock held on
-    the data file's own inode. *)
-
 val sync :
-  ?warn:(line:int -> reason:string -> unit) -> t -> path:string -> int
-(** Reconcile [t] with the shared file at [path] under {!with_file_lock}:
-    adopt every on-disk entry [t] lacks, then make the file hold the
-    union.  The primitive behind [--shared-cache] — any number of
-    concurrent funcy processes can sync against one file and every
-    committed entry survives.  Returns the number of entries adopted
-    {e from} the file.
+  ?warn:(line:int -> reason:string -> unit) ->
+  t ->
+  quarantine:Quarantine.t ->
+  path:string ->
+  int
+(** Reconcile [t] and [quarantine] with the log at [path]: adopt every
+    on-disk summary and quarantine entry they lack, then make the file
+    hold the union of both kinds.  The one writer of the log:
+    {!Checkpoint} calls it every N events and at exit, and any number of
+    concurrent funcy processes can sync against one file with every
+    committed entry surviving.  Runs under an exclusive advisory lock on
+    the sidecar [path ^ ".lock"] (compaction replaces the data file by
+    rename, so its inode cannot carry the lock), taken after a
+    process-wide mutex, since the advisory lock does not exclude
+    domains.  Returns the number of summaries adopted {e from} the file.
 
-    This is O(delta), journal-style: the first sync against a file
-    reads it once (migrating a v1 text file to binary in place); every
+    This is O(delta), journal-style.  The first sync against a file
+    reads it once (migrating a v1 or v2 file to v3 in place).  Every
     later sync reads only the bytes appended since, truncates any torn
     tail left by a writer killed mid-append (safe under the exclusive
     lock), and appends only entries the file does not already hold,
-    fsyncing before the lock is released.  The file is compacted — atomically rewritten with one
-    record per key — when a scan finds malformed records or when
-    duplicate frames from racing appenders exceed twice the distinct
-    keys.  A file replaced or truncated behind our back (the dev/ino
-    pair changes, or the size shrinks) is detected and re-read in full.
-
-    The held lock also pays for an {!Atomic_file.sweep}: stale
-    temporaries left by SIGKILLed writers are reclaimed on every sync.
+    with one fsync; a sync with nothing to add writes nothing.  The
+    cache tells each synced file of its new keys as they arrive, so no
+    sync walks the table; the quarantine, a small table, is walked only
+    when it has grown.  The file is compacted — atomically rewritten
+    with one record per entry — when a scan finds malformed records or
+    when duplicate frames from racing appenders exceed twice the
+    distinct entries.  A file replaced or truncated behind our back (the
+    dev/ino pair changes, or the size shrinks), or a quarantine other
+    than last time's, means a full re-read.  The held lock also pays for
+    an {!Atomic_file.sweep} of stale temporaries.
 
     @raise Corrupt as {!load}. *)

@@ -1,9 +1,11 @@
-(** Binary append-only encoding of cache entries (on-disk format v2).
+(** Binary append-only encoding of cache log records (on-disk format v3).
 
-    A binary cache file is the magic header line {!binary_magic}[ ^ "\n"]
-    followed by a sequence of length-prefixed records on the shared
-    {!Ft_framing.Framing} wire format (8-byte big-endian payload length,
-    then the payload).  One record = one [(key, summary)] binding:
+    A log is the magic line ["ft-engine-cache/3\n"] followed by frames on
+    the shared {!Ft_framing.Framing} wire format: an 8-byte big-endian
+    payload length, then the payload — a tag byte (['S'] summary, ['Q']
+    quarantine entry), the body, and a checksum, the 64-bit FNV-1a of
+    length prefix, tag and body ({!Ft_util.Rng.hash64_sub}).  A summary
+    body is one [(key, summary)] binding:
 
     {v
       u16 BE  key length        | key bytes
@@ -13,13 +15,19 @@
       per loop:  u16 BE name length | name bytes | f64 BE seconds
     v}
 
+    A quarantine body is the [u16]-prefixed key, then a reason byte and
+    its detail: ['B'] or ['C'] a [u16]-prefixed module name or crash
+    diagnostic, ['W'] nothing, ['T'] the f64 timeout.
+
     The frame boundary is the commit marker, exactly as a newline is for
-    the text format and for the serve journal: a record is trusted only
-    once its full frame is on disk, so a crash mid-append tears at most
-    the file's tail and {!decode} recovers every committed record.  Later
-    records for a key shadow earlier ones (append-only updates); readers
-    that merge adopt-if-absent should fold the decoded entries in file
-    order through their own precedence rule.
+    the serve journal: a record is trusted only once its full frame is on
+    disk, so a crash mid-append tears at most the file's tail and
+    {!decode} recovers every committed record.  The checksum, compared in
+    all 64 bits, seals the frame: one whose bytes changed after it was
+    written (bit rot, a tail zero-filled by a crash) is skipped, never
+    decoded.  Later records for a key shadow earlier ones.  Format v2
+    had the same frames without tag or checksum, summaries only;
+    {!decode_v2} still reads it.
 
     This module is pure string/bytes transcoding — no I/O, no locking —
     so it can be property-tested exhaustively (see [test/suite_codec.ml]).
@@ -27,39 +35,40 @@
 
 module Exec := Ft_machine.Exec
 
-val binary_magic : string
-(** ["ft-engine-cache/2"] — first line of a binary cache file. *)
-
 val text_magic : string
 (** ["ft-engine-cache/1"] — first line of a text (v1) cache file; owned
     by {!Cache} but exposed here so format detection lives in one place. *)
 
 val header : string
-(** [binary_magic ^ "\n"], the exact byte prefix of a binary file. *)
+(** ["ft-engine-cache/3\n"], the exact byte prefix of a v3 log. *)
 
-val detect : string -> [ `Binary | `Text | `Corrupt of string ]
-(** Classify file contents by magic line.  A proper prefix of either
-    magic header is reported as [`Corrupt "truncated header"] (a torn
-    header write), anything else as [`Corrupt "not an engine cache
-    file"]. *)
+val detect : string -> [ `Binary | `Binary_v2 | `Text | `Corrupt of string ]
+(** Classify file contents by magic line ([`Binary] is v3).  A proper
+    prefix of a magic header is reported as [`Corrupt "truncated
+    header"] (a torn header write), anything else as [`Corrupt "not an
+    engine cache file"]. *)
 
 val max_record_bytes : int
 (** Ceiling on one record's payload (16 MiB).  A frame claiming more is
     garbage — an out-of-phase length prefix — not a plausible summary. *)
 
 val encode_record : Buffer.t -> string -> Exec.summary -> unit
-(** Append one framed record to the buffer.
+(** Append one framed summary record to the buffer.
     @raise Invalid_argument if the key, a loop name, or the loop list
     does not fit the u16 fields (none ever do in practice). *)
 
+val encode_quarantined : Buffer.t -> string -> Quarantine.reason -> unit
+(** Append one framed quarantine record; raises as {!encode_record}. *)
+
 val encode_file : (string * Exec.summary) list -> string
-(** Header plus one record per binding, in list order: the full contents
-    of a binary cache file.  Deterministic (callers pass sorted
-    bindings). *)
+(** Header plus one summary record per binding, in list order.
+    Deterministic (callers pass sorted bindings). *)
 
 type decoded = {
   entries : (string * Exec.summary) list;
-      (** committed bindings, in file order (later shadows earlier) *)
+      (** committed summaries, in file order (later shadows earlier) *)
+  quarantined : (string * Quarantine.reason) list;
+      (** committed quarantine entries, in file order *)
   committed : int;
       (** byte offset just past the last whole frame — the only safe
           append/truncate point *)
@@ -68,8 +77,9 @@ type decoded = {
           length prefix: a crashed writer's tail, to be truncated away
           by the next locked sync *)
   skipped : int;
-      (** whole frames whose payload was malformed (bit rot, non-finite
-          floats): skipped, counted, and compacted away later *)
+      (** whole frames with a failed checksum or a malformed body
+          (non-finite floats, unknown tags): skipped, counted, and
+          compacted away later *)
 }
 
 val decode :
@@ -77,10 +87,17 @@ val decode :
   pos:int ->
   string ->
   decoded
-(** Decode every record of [contents] from byte offset [pos] (the caller
-    strips and checks the header; [pos] may also be a previous
+(** Decode every v3 record of [contents] from byte offset [pos] (the
+    caller strips and checks the header; [pos] may also be a previous
     [committed] offset when reading a delta).  Never raises on any
-    input: torn tails and malformed payloads are reported through
-    [warn] — [line] is the 1-based record ordinal within this scan, as
-    the text loader reports line numbers — and reflected in the result.
+    input: torn tails and skipped frames are reported through [warn] —
+    [line] is the 1-based record ordinal within this scan, as the text
+    loader reports line numbers — and reflected in the result.
     [committed] is relative to the start of [contents], i.e. [>= pos]. *)
+
+val decode_v2 :
+  warn:(line:int -> reason:string -> unit) ->
+  pos:int ->
+  string ->
+  decoded
+(** {!decode} for the frames of a v2 file ([quarantined] is empty). *)

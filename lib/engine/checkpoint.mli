@@ -1,81 +1,52 @@
 (** Checkpoint/resume for long searches.
 
-    A checkpoint is a pair of atomic snapshots — the measurement {!Cache}
-    at [path] and the {!Quarantine} list at [path ^ ".quarantine"] —
-    refreshed every [every] state-changing engine events (new summaries
-    computed or keys quarantined).  Because every search is a
-    deterministic replay from its seed and the cache/quarantine only
-    remove redundant work (never change a value), resuming a killed
-    [funcy tune --checkpoint] is simply: reload both snapshots, re-run the
-    same command, and the search fast-forwards through everything already
-    measured to a bit-identical final result.
+    A checkpoint is one cache log ({!Cache_codec} v3) holding the
+    measurement {!Cache} and the {!Quarantine} list, plus the sidecar
+    [path ^ ".lock"] its writers lock.  The engine records every
+    state-changing event (a new summary computed or a key quarantined)
+    with {!tick}, and every [every] events {!Cache.sync} appends the
+    entries the log lacks, so a sync costs what the run added since the
+    last one.  Because every search is a deterministic replay from its
+    seed and the cache/quarantine only remove redundant work (never
+    change a value), resuming a killed [funcy tune --checkpoint] is
+    simply: reload the log, re-run the same command, and the search
+    fast-forwards to a bit-identical final result.
 
-    {2 Commit protocol}
-
-    Each individual file is written with {!Atomic_file.write}, but a save
-    touches {e three} files, so a crash mid-save can still tear the set.
-    Saves are therefore one serialized transaction in a fixed order:
-
-    + the quarantine snapshot ([path ^ ".quarantine"]),
-    + the cache snapshot ([path]),
-    + a commit record ([path ^ ".commit"]) holding the digests of both.
-
-    Quarantine-before-cache is the safe tear direction: a crash between
-    the two leaves an {e older} cache with a {e newer} quarantine, and
-    deterministic replay re-measures the missing summaries while the
-    extra quarantine entries are exactly what re-evaluation would have
-    re-derived.  (The opposite order could pair a new cache with a stale
-    quarantine and resurrect a condemned configuration.)  {!load} checks
-    the snapshots against the commit record and reports any mismatch —
-    a torn save, a hand-edited file — through [warn] before resuming. *)
+    The log is safe to share: processes with one [--checkpoint] path
+    each sync under the sidecar lock, adopting each other's entries, and
+    a writer killed mid-append costs at most its own torn tail.  A
+    checkpoint from before the log format (a v1 or v2 cache) resumes its
+    summaries and is rewritten as a log at its first sync; its
+    [.quarantine] and [.commit] files are ignored, as replay re-derives
+    the quarantine. *)
 
 type t
 
-val create :
-  path:string -> ?every:int -> ?on_write:(string -> unit) -> unit -> t
+val create : path:string -> ?every:int -> unit -> t
 (** [every] (default 64) is the number of recorded events between
-    snapshots.  Nothing is written until the first event.  The cache
-    snapshot is written in {!Cache.save}'s binary format; {!load} also
-    reads a v1 text snapshot, so a text-era checkpoint resumes and is
-    rewritten as binary at the next save.  [on_write] is a test hook,
-    called inside the save transaction after each file reaches disk,
-    with the stage name ["quarantine"], ["cache"] or ["commit"] —
-    crash-injection tests raise from it to tear a save at a chosen
-    point. *)
+    syncs.  Nothing is written until the first sync. *)
 
 val path : t -> string
-val quarantine_path : t -> string
-
-val commit_path : t -> string
-(** The commit record ([path ^ ".commit"]): magic line, then the hex MD5
-    of the cache and quarantine snapshot files, written last. *)
-
-val exists : t -> bool
-(** Does a cache snapshot already exist on disk (i.e. can we resume)? *)
 
 val load :
   ?warn:(line:int -> reason:string -> unit) ->
   t ->
   (Cache.t * Quarantine.t) option
-(** Reload the snapshots, or [None] when there is nothing to resume from.
-    A missing quarantine file (e.g. pre-fault checkpoints) yields an empty
-    quarantine.  Malformed entries are skipped through [warn].  Commit
-    protocol violations — a missing or malformed commit record, or a
-    snapshot whose digest does not match it — are also reported through
-    [warn] (with [line = 0]); the load still proceeds, because replay
-    heals any tear the protocol's write order can produce.
-    @raise Cache.Corrupt / Quarantine.Corrupt if a file exists but is not
-    a snapshot at all. *)
+(** Adopt the log into a fresh cache and quarantine, or [None] when there
+    is nothing to resume from.  This is the first {!Cache.sync} of the
+    returned cache, so it leaves the sync state behind: the first
+    {!flush} after a resume reads and writes only what changed since.
+    Malformed records are skipped through [warn], and a torn or
+    pre-v3 log is compacted to v3 on the spot.
+    @raise Cache.Corrupt if the file exists but is not a cache at all. *)
 
 val tick : t -> cache:Cache.t -> quarantine:Quarantine.t -> bool
-(** Record one state-changing event; saves both snapshots (as one commit
-    transaction) when [every] events have accumulated since the last save
-    (returning [true] iff this call saved, so the engine can trace the
-    save).  Thread-safe: the event counter is its own fine-grained lock,
-    and concurrent due-savers serialize on a dedicated save lock so
-    interleaved writes can never pair a cache from save A with a
-    quarantine from save B. *)
+(** Record one state-changing event; syncs the log when [every] events
+    have accumulated since the last sync, returning [true] iff this call
+    synced, so the engine can trace it.  Thread-safe: the event counter
+    is its own fine-grained lock, and concurrent due syncs from pool
+    workers serialize in {!Cache.sync}. *)
 
 val flush : t -> cache:Cache.t -> quarantine:Quarantine.t -> unit
-(** Unconditional snapshot (called at the end of a run, and by the
+(** Unconditional sync (called at the end of a run, and by the
     [--die-after] crash hook just before the simulated kill). *)

@@ -127,8 +127,8 @@ val create :
     harness.  A fresh cache, telemetry and quarantine are allocated
     unless shared ones are passed (e.g. one cache for a whole experiment
     lab, or a quarantine reloaded from a checkpoint).  When a
-    [checkpoint] is attached, cache and quarantine snapshots are
-    refreshed as state accumulates and on {!flush_checkpoint}.  Every
+    [checkpoint] is attached, its log takes the new cache and quarantine
+    entries as state accumulates and on {!flush_checkpoint}.  Every
     cache lookup, build, run, fault, retry, quarantine decision and timer
     accumulation is one typed {!Ft_obs.Event}, counted into the
     telemetry and, when a [trace] is attached, recorded there too, along
@@ -161,7 +161,7 @@ val timed : t -> string -> (unit -> 'a) -> 'a
     timers. *)
 
 val flush_checkpoint : t -> unit
-(** Force a checkpoint snapshot now (no-op without an attached
+(** Sync the checkpoint log now (no-op without an attached
     checkpoint).  Called by the CLI at the end of a run and from its
     simulated-kill hook. *)
 

@@ -29,74 +29,3 @@ let bindings t =
   Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [])
   |> List.sort compare
-
-(* On-disk format: one entry per line, <key> TAB <tag> [TAB <detail>].
-   Details are sanitized so they can never smuggle a field separator. *)
-
-let format_magic = "ft-quarantine/1"
-
-let sanitize s =
-  String.map (function '\t' | '\n' | '\r' -> ' ' | c -> c) s
-
-let entry_line key = function
-  | Build_failed m -> Printf.sprintf "%s\tB\t%s" key (sanitize m)
-  | Crashed d -> Printf.sprintf "%s\tC\t%s" key (sanitize d)
-  | Wrong_answer -> Printf.sprintf "%s\tW" key
-  | Timed_out s -> Printf.sprintf "%s\tT\t%h" key s
-
-let parse_entry line =
-  match String.split_on_char '\t' line with
-  | [ key; "B"; m ] -> Ok (key, Build_failed m)
-  | [ key; "C"; d ] -> Ok (key, Crashed d)
-  | [ key; "W" ] -> Ok (key, Wrong_answer)
-  | [ key; "T"; s ] -> (
-      match float_of_string_opt s with
-      | Some s -> Ok (key, Timed_out s)
-      | None -> Error "unparsable timeout seconds")
-  | _ -> Error "unrecognized quarantine entry"
-
-let save t ~path =
-  Atomic_file.write ~path (fun oc ->
-      output_string oc (format_magic ^ "\n");
-      List.iter
-        (fun (key, reason) ->
-          output_string oc (entry_line key reason);
-          output_char oc '\n')
-        (bindings t))
-
-exception Corrupt of { path : string; line : int; reason : string }
-
-let default_warn ~path ~line ~reason =
-  Printf.eprintf "warning: %s:%d: skipping malformed quarantine entry (%s)\n%!"
-    path line reason
-
-let load ?warn path =
-  let warn =
-    match warn with
-    | Some w -> w
-    | None -> fun ~line ~reason -> default_warn ~path ~line ~reason
-  in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      (match input_line ic with
-      | magic when magic = format_magic -> ()
-      | _ ->
-          raise
-            (Corrupt { path; line = 1; reason = "not a quarantine file" })
-      | exception End_of_file ->
-          raise (Corrupt { path; line = 1; reason = "empty file" }));
-      let t = create () in
-      let line_no = ref 1 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr line_no;
-           if line <> "" then
-             match parse_entry line with
-             | Ok (key, reason) -> Hashtbl.replace t.table key reason
-             | Error reason -> warn ~line:!line_no ~reason
-         done
-       with End_of_file -> ());
-      t)

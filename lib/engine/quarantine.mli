@@ -8,7 +8,11 @@
     seed and the key ({!Ft_fault.Fault}), a quarantine hit returns exactly
     the outcome a re-evaluation would have computed, so quarantining never
     changes search results — it only removes wasted work.  The table is
-    mutex-protected and shared by all worker domains. *)
+    mutex-protected and shared by all worker domains.
+
+    The list persists as records of the checkpoint's cache log
+    ({!Cache.sync}, {!Checkpoint}); this module holds no file format of
+    its own. *)
 
 type reason =
   | Build_failed of string  (** the module whose compilation ICEd *)
@@ -28,15 +32,3 @@ val length : t -> int
 
 val bindings : t -> (string * reason) list
 (** Sorted by key, for deterministic persistence and comparison. *)
-
-val save : t -> path:string -> unit
-(** Atomic (write-temp-then-rename) line-oriented snapshot. *)
-
-exception Corrupt of { path : string; line : int; reason : string }
-(** Raised by {!load} when the file is not a quarantine file at all
-    (missing or wrong magic header). *)
-
-val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
-(** [load path] reads a snapshot.  Malformed lines after a valid header are skipped
-    through [warn] (default: one stderr line each) rather than aborting.
-    @raise Corrupt on a missing or invalid magic header. *)

@@ -12,29 +12,14 @@ type outcome = {
 }
 
 (* What one run leaves behind, everything rendered to comparable lines:
-   the result string, the serialized cache and quarantine snapshots, and
-   the resume-invariant skeleton of the logical trace. *)
+   the result string, the cache and quarantine contents, and the
+   resume-invariant skeleton of the logical trace. *)
 type artifacts = {
   result : string;
   cache_lines : string list;
   quarantine_lines : string list;
   trace_lines : string list;
 }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lines_of contents =
-  match String.split_on_char '\n' contents with
-  | lines -> (
-      match List.rev lines with
-      | "" :: rest -> List.rev rest (* drop the trailing newline's ghost *)
-      | _ -> lines)
-
-let remove_if_exists path = if Sys.file_exists path then Sys.remove path
 
 (* One line per binding in key order: the key, total and non-loop
    seconds, then [name=seconds] per loop, tab-separated.  Floats in %h,
@@ -52,14 +37,27 @@ let cache_lines cache =
              s.sum_loops))
     (Cache.bindings cache)
 
-let snapshot ~scratch ~tag engine trace result =
-  let qpath = Filename.concat scratch (tag ^ ".quarantine") in
+(* Likewise one line per quarantined key: the key, a reason letter and
+   its detail, a timeout in %h. *)
+let quarantine_lines quarantine =
+  List.map
+    (fun (key, (reason : Quarantine.reason)) ->
+      String.concat "\t"
+        (key
+        ::
+        (match reason with
+        | Build_failed m -> [ "B"; m ]
+        | Crashed d -> [ "C"; d ]
+        | Wrong_answer -> [ "W" ]
+        | Timed_out s -> [ "T"; Printf.sprintf "%h" s ])))
+    (Quarantine.bindings quarantine)
+
+let snapshot engine trace result =
   let quarantine = Engine.quarantine engine in
-  Quarantine.save quarantine ~path:qpath;
   {
     result;
     cache_lines = cache_lines (Engine.cache engine);
-    quarantine_lines = lines_of (read_file qpath);
+    quarantine_lines = quarantine_lines quarantine;
     trace_lines =
       Trace.normalized_lines
         ~is_quarantined:(fun key -> Quarantine.find quarantine key <> None)
@@ -119,7 +117,7 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
   in
   let ref_result = search ref_engine in
   let evaluations = Telemetry.completed (Engine.telemetry ref_engine) in
-  let reference = snapshot ~scratch ~tag:"reference" ref_engine ref_trace ref_result in
+  let reference = snapshot ref_engine ref_trace ref_result in
   let kill_points =
     (match kill_points with
     | Some explicit -> explicit
@@ -137,9 +135,7 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
     let stage = Printf.sprintf "kill@%d" n in
     let snap = Filename.concat scratch (Printf.sprintf "kill%d.snap" n) in
     let ck = Checkpoint.create ~path:snap () in
-    List.iter remove_if_exists
-      [ Checkpoint.path ck; Checkpoint.quarantine_path ck;
-        Checkpoint.commit_path ck ];
+    if Sys.file_exists snap then Sys.remove snap;
     let doomed =
       make_engine ~cache:(Cache.create ()) ~quarantine:(Quarantine.create ())
         ~checkpoint:None ~trace:None
@@ -163,10 +159,7 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
             ~trace:(Some trace)
         in
         let result = search resumed_engine in
-        let candidate =
-          snapshot ~scratch ~tag:(Printf.sprintf "resumed%d" n) resumed_engine
-            trace result
-        in
+        let candidate = snapshot resumed_engine trace result in
         ( compare_artifacts ~stage ~reference ~candidate,
           Some (Engine.cache resumed_engine) )
   in

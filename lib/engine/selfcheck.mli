@@ -12,12 +12,12 @@
       semantics — the run then continues but everything after the flush
       is discarded, which is byte-equivalent on disk to killing the
       process at the flush), followed by a {b resumed} run reloading that
-      snapshot through {!Checkpoint.load};
+      log through {!Checkpoint.load};
     + a {b cache-merge round-trip}: {!Cache.merge} of the reference and
       resumed caches in both orders.
 
     It then asserts, for every resume: byte-identical rendered result,
-    serialized cache, serialized quarantine, and resume-invariant
+    cache, quarantine, and resume-invariant
     normalized logical trace ({!Ft_obs.Trace.normalized_lines}); and for
     the merge: both orders byte-identical to each other and to the
     reference cache.  Any difference is reported as a structured diff.
@@ -61,13 +61,15 @@ val run :
     time it is called (same jobs/backend/policy every time); [search] must
     run the {e same} deterministic search on it and render its result as a
     string (bit-exact float formatting, e.g. [%h], so renderings compare
-    byte-for-byte).  [scratch] is an existing directory for snapshot and
-    serialization files; the caller owns its lifetime.  [kill_points]
+    byte-for-byte).  [scratch] is an existing directory for the kill
+    points' checkpoint logs; the caller owns its lifetime.  [kill_points]
     (default: first, middle and last boundary) are clamped to the
-    reference run's [1..evaluations] range and deduplicated.  Caches are
-    compared as lines rendered in memory from {!Cache.bindings} — the
-    key, then [%h] total, non-loop and per-loop seconds — rather than as
-    checkpoint bytes, so a divergence diff names the differing entry. *)
+    reference run's [1..evaluations] range and deduplicated.  Caches and
+    quarantines are compared as lines rendered in memory from
+    {!Cache.bindings} and {!Quarantine.bindings} — the key, then [%h]
+    total, non-loop and per-loop seconds, or a reason letter and its
+    detail with a timeout in [%h] — rather than as checkpoint bytes, so a
+    divergence diff names the differing entry. *)
 
 val passed : outcome -> bool
 

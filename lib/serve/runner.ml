@@ -83,9 +83,6 @@ let make ~engine =
   let run spec ~fingerprint:_ ~tick = run_search ~engine spec ~tick in
   { validate; run }
 
-let snapshot_path ~state_dir fingerprint =
-  Filename.concat state_dir (fingerprint ^ ".snap")
-
 let make_durable
     ~(make_engine :
         ?cache:Ft_engine.Cache.t ->
@@ -94,32 +91,25 @@ let make_durable
         unit ->
         Engine.t) ~state_dir ?(checkpoint_every = 32) () =
   let run spec ~fingerprint ~tick =
-    let path = snapshot_path ~state_dir fingerprint in
+    let path = Filename.concat state_dir (fingerprint ^ ".snap") in
     let checkpoint = Checkpoint.create ~path ~every:checkpoint_every () in
     let engine =
-      if Checkpoint.exists checkpoint then begin
-        match Checkpoint.load checkpoint with
-        | Some (cache, quarantine) ->
-            Printf.eprintf "serve: resuming %s from checkpoint (%d entries)\n%!"
-              fingerprint
-              (Ft_engine.Cache.length cache);
-            make_engine ~cache ~quarantine ~checkpoint ()
-        | None -> make_engine ~checkpoint ()
-      end
-      else make_engine ~checkpoint ()
+      match Checkpoint.load checkpoint with
+      | Some (cache, quarantine) ->
+          Printf.eprintf "serve: resuming %s from checkpoint (%d entries)\n%!"
+            fingerprint
+            (Ft_engine.Cache.length cache);
+          make_engine ~cache ~quarantine ~checkpoint ()
+      | None -> make_engine ~checkpoint ()
     in
     let result = run_search ~engine spec ~tick in
+    (* On success the outcome is durable in the journal's [completed]
+       record, and the half-search log has served its purpose. *)
     (match result with
     | Ok _ ->
-        (* The outcome is durable in the journal's [completed] record;
-           the half-search snapshots have served their purpose. *)
         List.iter
           (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [
-            path;
-            Checkpoint.quarantine_path checkpoint;
-            Checkpoint.commit_path checkpoint;
-          ]
+          [ path; path ^ ".lock" ]
     | Error _ -> ());
     result
   in

@@ -9,10 +9,10 @@
       no durable state directory.
     - {!make_durable}: a fresh engine {e per search}, wired to a
       per-fingerprint {!Ft_engine.Checkpoint} under the daemon's state
-      directory.  A daemon killed mid-search leaves the search's last
-      committed snapshot behind; the restarted daemon's re-run of the
-      same fingerprint loads it and fast-forwards to a byte-identical
-      result instead of starting over (the PR 5 commit protocol).
+      directory.  A daemon killed mid-search leaves the search's
+      checkpoint log behind; the restarted daemon's re-run of the same
+      fingerprint loads it and fast-forwards to a byte-identical result
+      instead of starting over.
 
     Tests substitute a fake runner to exercise the server's coalescing,
     recovery and cancellation without real searches. *)
@@ -63,9 +63,9 @@ val make_durable :
   unit ->
   t
 (** A crash-safe runner: each [run] builds a fresh engine through
-    [make_engine] with a checkpoint at
-    [state_dir/<fingerprint>.snap] saving every [checkpoint_every]
-    (default 32) state-changing events, resuming from an existing
-    snapshot first.  Snapshot files are removed once the search
-    completes (the journal's [completed] record is the durable result —
-    see {!Journal}). *)
+    [make_engine] with a checkpoint log at
+    [state_dir/<fingerprint>.snap] synced every [checkpoint_every]
+    (default 32) state-changing events, resuming from an existing log
+    first.  Once the search completes the log and its [.lock] sidecar
+    are removed (the journal's [completed] record is the durable result —
+    see {!Journal}); a search that returns [Error] keeps its log. *)

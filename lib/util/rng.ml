@@ -40,6 +40,19 @@ let fnv_feed h s =
 let hash_string s = fnv_feed fnv_offset s land max_int
 let hash_strings parts = List.fold_left fnv_feed fnv_offset parts land max_int
 
+(* The unfolded hash, in boxed arithmetic: bit 63 needs a full int64. *)
+let hash64_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Rng.hash64_sub: range outside the string";
+  let h = ref 0xcbf29ce484222325L in
+  for i = pos to pos + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  !h
+
 let of_label t label =
   let mixed =
     mix64 (Int64.logxor t.state (Int64.of_int (hash_string label)))

@@ -79,3 +79,9 @@ val hash_strings : string list -> int
     computed by feeding the parts in order without building the
     concatenation — for seeds whose label has a fixed shape (e.g.
     ["lto:"; program; ":"; region]). *)
+
+val hash64_sub : string -> pos:int -> len:int -> int64
+(** The same FNV-1a over [len] bytes from [pos], all 64 bits kept: the
+    cache log's frame checksum.  Every step is a bijection, so inputs of
+    one length differing in one byte always hash apart.  Allocates only
+    its result.  @raise Invalid_argument on a range outside the string. *)

@@ -40,6 +40,10 @@ let remove_if_exists path = if Sys.file_exists path then Sys.remove path
    Relative to the directory dune runs the test binaries in. *)
 let v1_cache_fixture = "golden/cache-v1.txt"
 
+(* Likewise a v2 binary cache as the v2 writer wrote it: 20 entries
+   [v2-key-<k>], with [summary_of_seed k] as their summaries. *)
+let v2_cache_fixture = "golden/cache-v2.bin"
+
 (* A fresh empty directory under the system temp dir; the caller owns
    cleanup (tests that crash leave it for the OS to reap). *)
 let temp_dir prefix =

@@ -562,7 +562,7 @@ let test_cache_sync_concurrent_writers () =
             (try
                let c = Cache.create () in
                List.iter (fun (k, s) -> Cache.add c k s) (entries_of child);
-               ignore (Cache.sync c ~path);
+               ignore (Cache.sync c ~quarantine:(Quarantine.create ()) ~path);
                Unix._exit 0
              with _ -> Unix._exit 1)
         | pid -> pid)
@@ -586,36 +586,58 @@ let test_cache_sync_concurrent_writers () =
     [ 0; 1; 2; 3 ];
   Test_helpers.remove_tree dir
 
-let test_v1_to_v2_migration () =
-  (* A v1 text cache (an old checkpoint or --warm-start file) must be
-     adopted wholesale by a sync and migrated to v2 in place, losing
-     nothing. *)
-  let dir = Test_helpers.temp_dir "migrate" in
-  let path = Filename.concat dir "c.cache" in
-  Fun.protect
-    ~finally:(fun () -> Test_helpers.remove_tree dir)
-    (fun () ->
-      let old_entries =
-        List.init 20 (fun k -> (Printf.sprintf "v1-key-%d" k, summary_of_seed k))
-      in
-      Test_helpers.write_file path
-        (Test_helpers.read_file Test_helpers.v1_cache_fixture);
-      Alcotest.(check bool) "v1 text on disk" true
-        (Ft_engine.Cache_codec.detect (Test_helpers.read_file path) = `Text);
-      let fresh = Cache.create () in
-      Cache.add fresh "v2-key" (summary_of_seed 999);
-      let adopted = Cache.sync fresh ~path in
-      Alcotest.(check int) "every v1 entry adopted" 20 adopted;
-      Alcotest.(check bool) "migrated to v2 binary on disk" true
-        (Ft_engine.Cache_codec.detect (Test_helpers.read_file path) = `Binary);
-      let reloaded = quiet_load path in
-      Alcotest.(check int) "union survives the migration" 21
-        (Cache.length reloaded);
-      List.iter
-        (fun (k, s) ->
-          Alcotest.(check bool) ("v1 entry survives: " ^ k) true
-            (Cache.find reloaded k = Some s))
-        (("v2-key", summary_of_seed 999) :: old_entries))
+let test_old_formats_migrate () =
+  (* A v1 text or v2 binary cache (an old checkpoint or --warm-start
+     file) must read back bit-exactly, be adopted wholesale by a sync and
+     be migrated to a v3 log in place, losing nothing. *)
+  List.iter
+    (fun (fixture, version, detected) ->
+      let dir = Test_helpers.temp_dir "migrate" in
+      let path = Filename.concat dir "c.cache" in
+      Fun.protect
+        ~finally:(fun () -> Test_helpers.remove_tree dir)
+        (fun () ->
+          let old_entries =
+            List.init 20 (fun k ->
+                (Printf.sprintf "%s-key-%d" version k, summary_of_seed k))
+          in
+          let bits (k, (s : Exec.summary)) =
+            ( k,
+              List.map Int64.bits_of_float
+                (s.sum_total_s :: s.sum_nonloop_s :: List.map snd s.sum_loops)
+            )
+          in
+          Alcotest.(check bool)
+            (version ^ " fixture reads back bit-exactly")
+            true
+            (List.map bits (Cache.bindings (quiet_load fixture))
+            = List.map bits (List.sort compare old_entries));
+          Test_helpers.write_file path (Test_helpers.read_file fixture);
+          Alcotest.(check bool) (version ^ " on disk") true
+            (Ft_engine.Cache_codec.detect (Test_helpers.read_file path)
+            = detected);
+          let fresh = Cache.create () in
+          Cache.add fresh "v3-key" (summary_of_seed 999);
+          let adopted =
+            Cache.sync fresh ~quarantine:(Quarantine.create ()) ~path
+          in
+          Alcotest.(check int) ("every " ^ version ^ " entry adopted") 20
+            adopted;
+          Alcotest.(check bool) "migrated to a v3 log on disk" true
+            (Ft_engine.Cache_codec.detect (Test_helpers.read_file path)
+            = `Binary);
+          let reloaded = quiet_load path in
+          Alcotest.(check int) "union survives the migration" 21
+            (Cache.length reloaded);
+          List.iter
+            (fun (k, s) ->
+              Alcotest.(check bool) (version ^ " entry survives: " ^ k) true
+                (Cache.find reloaded k = Some s))
+            (("v3-key", summary_of_seed 999) :: old_entries)))
+    [
+      (Test_helpers.v1_cache_fixture, "v1", `Text);
+      (Test_helpers.v2_cache_fixture, "v2", `Binary_v2);
+    ]
 
 let test_sync_survives_sigkill_mid_append () =
   (* The crash-safety property at the file-protocol level: a writer
@@ -640,7 +662,7 @@ let test_sync_survives_sigkill_mid_append () =
                parent's SIGKILL lands at an arbitrary protocol point. *)
             (try
                Unix.close r;
-               let c = Cache.create () in
+               let c = Cache.create () and quarantine = Quarantine.create () in
                let round = ref 0 in
                while true do
                  incr round;
@@ -650,7 +672,7 @@ let test_sync_survives_sigkill_mid_append () =
                        (Printf.sprintf "victim-%d-%d" !round k)
                        (summary_of_seed ((1000 * !round) + k)))
                    [ 0; 1; 2; 3; 4 ];
-                 ignore (Cache.sync c ~path);
+                 ignore (Cache.sync c ~quarantine ~path);
                  ignore (Unix.write w (Bytes.of_string "s") 0 1)
                done;
                Unix._exit 0
@@ -679,12 +701,13 @@ let test_sync_survives_sigkill_mid_append () =
             match Unix.fork () with
             | 0 ->
                 (try
-                   let c = Cache.create () in
+                   let c = Cache.create () and quarantine = Quarantine.create () in
                    (* Five delta-sync rounds of five entries each. *)
                    List.iteri
                      (fun i (k, s) ->
                        Cache.add c k s;
-                       if (i + 1) mod 5 = 0 then ignore (Cache.sync c ~path))
+                       if (i + 1) mod 5 = 0 then
+                         ignore (Cache.sync c ~quarantine ~path))
                      (entries_of child);
                    Unix._exit 0
                  with _ -> Unix._exit 1)
@@ -721,7 +744,7 @@ let test_sync_survives_sigkill_mid_append () =
       (* The healed file stays appendable. *)
       let late = Cache.create () in
       Cache.add late "late-key" (summary_of_seed 7);
-      ignore (Cache.sync late ~path);
+      ignore (Cache.sync late ~quarantine:(Quarantine.create ()) ~path);
       let final = quiet_load path in
       Alcotest.(check bool) "file still appendable after the kill" true
         (Cache.find final "late-key" = Some (summary_of_seed 7));
@@ -789,7 +812,7 @@ let test_sync_sweeps_stale_tmp_files () =
       age_file orphan;
       let c = Cache.create () in
       Cache.add c (Cache.digest "k") (summary_of_seed 5);
-      ignore (Cache.sync c ~path);
+      ignore (Cache.sync c ~quarantine:(Quarantine.create ()) ~path);
       Alcotest.(check bool) "orphan swept by sync" false
         (Sys.file_exists orphan);
       Alcotest.(check bool) "sync still committed" true
@@ -972,8 +995,8 @@ let suite =
         test_worker_crashes_derivable_from_trace;
       Alcotest.test_case "concurrent Cache.sync writers union" `Quick
         test_cache_sync_concurrent_writers;
-      Alcotest.test_case "v1 text cache migrates to v2 binary" `Quick
-        test_v1_to_v2_migration;
+      Alcotest.test_case "v1/v2 caches migrate to v3" `Quick
+        test_old_formats_migrate;
       Alcotest.test_case "sync survives SIGKILL mid-append" `Quick
         test_sync_survives_sigkill_mid_append;
       Alcotest.test_case "load sweeps stale tmp orphans" `Quick

@@ -1,13 +1,16 @@
-(* Property suite for the binary cache codec (on-disk format v2).
+(* Property suite for the binary cache codec (on-disk format v3).
 
-   Cache_codec is pure string transcoding — no I/O — so the two claims
-   the crash-safety story rests on can be checked exhaustively:
+   Cache_codec is pure string transcoding — no I/O — so the claims the
+   crash-safety story rests on can be checked exhaustively:
 
    - encode/decode round-trips arbitrary caches bit-exactly (keys are
      arbitrary bytes, floats compare by their IEEE-754 bits);
    - decoding a file truncated at *every* byte offset never raises,
      never drops a committed (fully-framed) record, and never invents
-     one: the frame boundary is the commit marker.
+     one: the frame boundary is the commit marker;
+   - no damaged frame decodes: after any one changed byte, or a
+     zero-filled tail, every decoded record is an original one, and the
+     damaged frame is counted as torn or skipped: the checksum seals it.
 
    The file-level protocol on top (locks, delta sync, compaction) is
    exercised in suite_engine and suite_backend; nothing here touches
@@ -196,6 +199,119 @@ let prop_bitrot_never_raises =
         d.Codec.committed <= Bytes.length file
       end)
 
+(* Summaries and quarantine entries, interleaved as a checkpoint writes
+   them. *)
+type record =
+  | S of string * Exec.summary
+  | Q of string * Ft_engine.Quarantine.reason
+
+let reason_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun m -> Ft_engine.Quarantine.Build_failed m) (raw_string_gen 12);
+        map (fun d -> Ft_engine.Quarantine.Crashed d) (raw_string_gen 30);
+        return Ft_engine.Quarantine.Wrong_answer;
+        map (fun s -> Ft_engine.Quarantine.Timed_out s) finite_float_gen;
+      ])
+
+let record_eq a b =
+  match (a, b) with
+  | S (k1, s1), S (k2, s2) -> String.equal k1 k2 && summary_eq s1 s2
+  | Q (k1, Timed_out t1), Q (k2, Timed_out t2) ->
+      String.equal k1 k2 && feq t1 t2
+  | Q (k1, r1), Q (k2, r2) -> String.equal k1 k2 && r1 = r2
+  | _ -> false
+
+let records_gen =
+  QCheck.Gen.(
+    list_size (1 -- 6)
+      (oneof
+         [
+           map2 (fun k s -> S (k, s)) (raw_string_gen 20) summary_gen;
+           map2 (fun k r -> Q (k, r)) (raw_string_gen 20) reason_gen;
+         ]))
+
+let encode_records records =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf Codec.header;
+  let ends =
+    List.map
+      (fun r ->
+        (match r with
+        | S (k, s) -> Codec.encode_record buf k s
+        | Q (k, r) -> Codec.encode_quarantined buf k r);
+        Buffer.length buf)
+      records
+  in
+  (Buffer.contents buf, ends)
+
+let decoded_records contents =
+  let d = Codec.decode ~pos:header_len contents in
+  ( d,
+    List.map (fun (k, s) -> S (k, s)) d.Codec.entries
+    @ List.map (fun (k, r) -> Q (k, r)) d.Codec.quarantined )
+
+(* The v2 frames carried no checksum: a frame whose last 8 bytes were
+   zero-filled still decoded, as a loop that took 0.00 s.  Every damage
+   below must surface as a torn or skipped frame, and nothing but an
+   original record may come out. *)
+let prop_no_damaged_frame_decodes =
+  QCheck.Test.make ~count:60 ~name:"no corrupted frame decodes"
+    QCheck.(
+      make
+        ~print:(fun (rs, delta) ->
+          Printf.sprintf "%d records, delta %d" (List.length rs) delta)
+        Gen.(pair records_gen (1 -- 255)))
+    (fun (records, delta) ->
+      let file, ends = encode_records records in
+      let is_summary = function S _ -> true | Q _ -> false in
+      (* [decode] returns summaries, then quarantine entries. *)
+      let originals =
+        List.filter is_summary records
+        @ List.filter (fun r -> not (is_summary r)) records
+      in
+      let intact, decoded = decoded_records file in
+      let damage_caught contents =
+        contents = file
+        ||
+        let d, decoded = decoded_records contents in
+        (d.Codec.torn || d.Codec.skipped > 0)
+        && List.for_all (fun r -> List.exists (record_eq r) records) decoded
+      in
+      let changed at f =
+        let b = Bytes.of_string file in
+        Bytes.set b at (Char.chr (f (Char.code file.[at]) land 0xff));
+        Bytes.to_string b
+      in
+      let zero_filled n =
+        String.sub file 0 (String.length file - n) ^ String.make n '\000'
+      in
+      let last_frame_start =
+        match List.rev ends with _ :: e :: _ -> e | _ -> header_len
+      in
+      let ok =
+        ref
+          ((not intact.Codec.torn)
+          && intact.Codec.skipped = 0
+          && List.length decoded = List.length originals
+          && List.for_all2 record_eq decoded originals)
+      in
+      (* Each single-bit flip, so a check that ignores any one bit of the
+         checksum fails every run, and one random byte change. *)
+      for at = header_len to String.length file - 1 do
+        for bit = 0 to 7 do
+          if not (damage_caught (changed at (fun c -> c lxor (1 lsl bit))))
+          then ok := false
+        done;
+        if not (damage_caught (changed at (fun c -> c + delta))) then
+          ok := false
+      done;
+      for n = 1 to String.length file - last_frame_start do
+        if not (damage_caught (zero_filled n)) then ok := false
+      done;
+      !ok)
+
 (* -- unit tests --------------------------------------------------------- *)
 
 let s1 =
@@ -205,6 +321,9 @@ let test_detect () =
   Alcotest.(check bool)
     "binary file" true
     (Codec.detect (Codec.encode_file [ ("k", s1) ]) = `Binary);
+  Alcotest.(check bool)
+    "v2 binary file" true
+    (Codec.detect "ft-engine-cache/2\nrest" = `Binary_v2);
   Alcotest.(check bool)
     "text file" true
     (Codec.detect (Codec.text_magic ^ "\nrest") = `Text);
@@ -277,6 +396,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_delta_decode;
       QCheck_alcotest.to_alcotest prop_garbage_never_raises;
       QCheck_alcotest.to_alcotest prop_bitrot_never_raises;
+      QCheck_alcotest.to_alcotest prop_no_damaged_frame_decodes;
       Alcotest.test_case "format detection" `Quick test_detect;
       Alcotest.test_case "malformed payload skipped" `Quick
         test_malformed_payload_skipped;

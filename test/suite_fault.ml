@@ -239,35 +239,7 @@ let test_repeats_deterministic () =
   Alcotest.(check bool) "repeated measurements bit-identical at any jobs"
     true (a = b)
 
-(* --- quarantine persistence ------------------------------------------- *)
-
-let test_quarantine_roundtrip () =
-  let q = Quarantine.create () in
-  Quarantine.add q "k1" (Quarantine.Build_failed "mod_3");
-  Quarantine.add q "k2" (Quarantine.Crashed "persistent crash");
-  Quarantine.add q "k3" Quarantine.Wrong_answer;
-  Quarantine.add q "k4" (Quarantine.Timed_out 123.5);
-  let path = Filename.temp_file "ft_quarantine" ".tsv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Quarantine.save q ~path;
-      let reloaded = Quarantine.load path in
-      Alcotest.(check bool) "all four reasons round-trip" true
-        (Quarantine.bindings q = Quarantine.bindings reloaded))
-
-let test_quarantine_rejects_garbage () =
-  let path = Filename.temp_file "ft_quarantine" ".tsv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "not a quarantine file\n";
-      close_out oc;
-      match Quarantine.load path with
-      | exception Quarantine.Corrupt { line; _ } ->
-          Alcotest.(check int) "rejected at the header" 1 line
-      | _ -> Alcotest.fail "garbage accepted")
+(* --- quarantine ------------------------------------------------------- *)
 
 let test_quarantine_preload_changes_nothing () =
   (* Handing a search the quarantine of a previous identical run removes
@@ -297,14 +269,14 @@ let test_quarantine_preload_changes_nothing () =
 
 (* --- checkpoint/resume ------------------------------------------------ *)
 
+(* A fresh path for a checkpoint log: named like a temporary file, but
+   with nothing there yet. *)
 let with_checkpoint_path f =
   let path = Filename.temp_file "ft_ck" ".snap" in
+  Sys.remove path;
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove path;
-      List.iter
-        (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path ^ ".quarantine"; path ^ ".commit" ])
+      List.iter Test_helpers.remove_if_exists [ path; path ^ ".lock" ])
     (fun () -> f path)
 
 let test_checkpoint_roundtrip () =
@@ -341,7 +313,7 @@ let test_checkpoint_resume_bit_identical () =
   let ck = Checkpoint.create ~path ~every:8 () in
   let first = search (Engine.create ~jobs:2 ~policy ~checkpoint:ck ()) in
   Alcotest.(check bool) "periodic snapshots hit the disk" true
-    (Checkpoint.exists ck);
+    (Sys.file_exists path);
   let cache, quarantine = Option.get (Checkpoint.load ck) in
   let resumed_engine = Engine.create ~jobs:2 ~policy ~cache ~quarantine () in
   let resumed = search resumed_engine in
@@ -353,118 +325,141 @@ let test_checkpoint_resume_bit_identical () =
   Alcotest.(check bool) "resume fast-forwards through snapshotted work" true
     (s.Telemetry.cache_hits > 0)
 
-(* --- the checkpoint commit protocol ----------------------------------- *)
+(* --- the checkpoint log ------------------------------------------------- *)
 
-exception Simulated_crash
+module Codec = Ft_engine.Cache_codec
 
-let test_commit_write_order () =
+let decode_log path =
+  Codec.decode ~pos:(String.length Codec.header) (Test_helpers.read_file path)
+
+let keys entries = List.sort compare (List.map fst entries)
+
+let test_log_reasons_roundtrip () =
+  (* Every reason survives a flush and a load exactly: details keep their
+     tabs and newlines, and a timeout keeps every bit. *)
   with_checkpoint_path @@ fun path ->
-  let stages = ref [] in
-  let ck =
-    Checkpoint.create ~path ~on_write:(fun s -> stages := s :: !stages) ()
+  let reasons =
+    [
+      ("k1", Quarantine.Build_failed "mod_3");
+      ("k2", Quarantine.Crashed "signal 11\tat 0x4f\nin calc2");
+      ("k3", Quarantine.Wrong_answer);
+      ("k4", Quarantine.Timed_out (Float.succ 123.5));
+    ]
   in
-  let cache = Cache.create () and quarantine = Quarantine.create () in
-  Checkpoint.flush ck ~cache ~quarantine;
-  Checkpoint.flush ck ~cache ~quarantine;
-  Alcotest.(check (list string)) "quarantine, then cache, then commit"
-    [ "quarantine"; "cache"; "commit"; "quarantine"; "cache"; "commit" ]
-    (List.rev !stages)
-
-let test_torn_save_is_caught () =
-  (* Deliberately reintroduce the pre-protocol bug: crash between the
-     quarantine and cache writes, pairing a newer quarantine with an older
-     cache on disk, and check that load reports the tear (and that the
-     safe tear direction holds: the survivor carries the NEWER
-     quarantine). *)
-  with_checkpoint_path @@ fun path ->
-  let crash = ref false in
-  let on_write stage =
-    if !crash && stage = "quarantine" then raise Simulated_crash
-  in
-  let ck = Checkpoint.create ~path ~on_write () in
-  let cache = Cache.create () and quarantine = Quarantine.create () in
-  Quarantine.add quarantine "key-a" Quarantine.Wrong_answer;
-  Checkpoint.flush ck ~cache ~quarantine;
-  Quarantine.add quarantine "key-b" (Quarantine.Crashed "sig11");
-  crash := true;
-  (try Checkpoint.flush ck ~cache ~quarantine
-   with Simulated_crash -> ());
-  let warnings = ref [] in
-  let warn ~line:_ ~reason = warnings := reason :: !warnings in
-  (match Checkpoint.load ~warn ck with
-  | None -> Alcotest.fail "a torn checkpoint must still load"
-  | Some (_, q) ->
-      Alcotest.(check int) "survivor carries the newer quarantine" 2
-        (Quarantine.length q));
-  Alcotest.(check bool) "the tear is reported" true
-    (List.exists
-       (fun r -> Test_helpers.contains r "torn checkpoint: quarantine")
-       !warnings)
-
-let test_missing_commit_record_warns () =
-  with_checkpoint_path @@ fun path ->
+  let quarantine = Quarantine.create () in
+  List.iter (fun (k, r) -> Quarantine.add quarantine k r) reasons;
   let ck = Checkpoint.create ~path () in
-  Checkpoint.flush ck ~cache:(Cache.create ())
-    ~quarantine:(Quarantine.create ());
-  Sys.remove (Checkpoint.commit_path ck);
-  let warnings = ref [] in
-  let warn ~line:_ ~reason = warnings := reason :: !warnings in
-  (match Checkpoint.load ~warn ck with
-  | None -> Alcotest.fail "a pre-protocol snapshot must still load"
-  | Some _ -> ());
-  Alcotest.(check bool) "pre-protocol snapshot is flagged" true
-    (List.exists
-       (fun r -> Test_helpers.contains r "no commit record")
-       !warnings)
+  Checkpoint.flush ck ~cache:(Cache.create ()) ~quarantine;
+  let exact = function
+    | Quarantine.Timed_out s -> `Timed_out (Int64.bits_of_float s)
+    | r -> `Reason r
+  in
+  match Checkpoint.load ck with
+  | None -> Alcotest.fail "nothing to resume from after flush"
+  | Some (_, loaded) ->
+      Alcotest.(check bool) "all four reasons round-trip bit-exactly" true
+        (List.map (fun (k, r) -> (k, exact r)) (Quarantine.bindings loaded)
+        = List.map (fun (k, r) -> (k, exact r)) reasons)
+
+let test_log_grows_by_delta () =
+  (* A checkpointed search writes each entry once; a resumed search that
+     adds nothing leaves the log untouched, inode and bytes. *)
+  with_checkpoint_path @@ fun path ->
+  let policy = faulty_policy ~rate:0.2 () in
+  let search engine =
+    Tuner.run_cfr ~top_x:5
+      (Tuner.make_session ~pool_size:30 ~engine ~platform ~program ~input
+         ~seed:5150 ())
+  in
+  let ck = Checkpoint.create ~path ~every:8 () in
+  let engine = Engine.create ~jobs:2 ~policy ~checkpoint:ck () in
+  let first = search engine in
+  Engine.flush_checkpoint engine;
+  let d = decode_log path in
+  Alcotest.(check bool) "quarantine entries were logged" true
+    (Quarantine.length (Engine.quarantine engine) > 0);
+  Alcotest.(check bool) "no torn or skipped frame" true
+    ((not d.Codec.torn) && d.Codec.skipped = 0);
+  Alcotest.(check (list string)) "one frame per summary"
+    (keys (Cache.bindings (Engine.cache engine)))
+    (keys d.Codec.entries);
+  Alcotest.(check (list string)) "one frame per quarantine entry"
+    (keys (Quarantine.bindings (Engine.quarantine engine)))
+    (keys d.Codec.quarantined);
+  let before = Unix.stat path and bytes = Test_helpers.read_file path in
+  let cache, quarantine = Option.get (Checkpoint.load ck) in
+  let resumed =
+    Engine.create ~jobs:2 ~policy ~cache ~quarantine ~checkpoint:ck ()
+  in
+  let again = search resumed in
+  Engine.flush_checkpoint resumed;
+  let s = Telemetry.snapshot (Engine.telemetry resumed) in
+  Alcotest.(check bool) "the resume measured nothing new" true
+    (s.Telemetry.cache_misses = 0 && again = first);
+  let after = Unix.stat path in
+  Alcotest.(check bool) "same inode, same size" true
+    (after.Unix.st_ino = before.Unix.st_ino
+    && after.Unix.st_size = before.Unix.st_size);
+  Alcotest.(check bool) "same bytes" true (Test_helpers.read_file path = bytes)
 
 let test_text_era_checkpoint_resumes () =
-  (* A checkpoint left by the v1 text writer (no commit record either)
-     must resume with every entry, and the next flush rewrites it in the
-     binary format without losing or changing one. *)
-  with_checkpoint_path @@ fun path ->
-  Test_helpers.write_file path
-    (Test_helpers.read_file Test_helpers.v1_cache_fixture);
-  let expected = Cache.bindings (Cache.load Test_helpers.v1_cache_fixture) in
-  let ck = Checkpoint.create ~path () in
-  match Checkpoint.load ~warn:(fun ~line:_ ~reason:_ -> ()) ck with
-  | None -> Alcotest.fail "a text-era checkpoint must resume"
-  | Some (cache, quarantine) ->
-      Alcotest.(check int) "every v1 entry resumed" 20 (Cache.length cache);
-      Alcotest.(check bool) "resumed bindings equal the v1 file's" true
-        (Cache.bindings cache = expected);
-      Checkpoint.flush ck ~cache ~quarantine;
-      let rewritten = Test_helpers.read_file path in
-      Alcotest.(check bool) "rewritten as binary" true
-        (Ft_engine.Cache_codec.detect rewritten = `Binary);
-      Alcotest.(check bool) "binary snapshot holds the same bindings" true
-        (Cache.bindings (Cache.load path) = expected)
+  (* Checkpoints left by the v1 text and v2 binary writers must resume
+     with every entry, and the first sync rewrites them as v3 logs without
+     losing or changing one. *)
+  List.iter
+    (fun fixture ->
+      with_checkpoint_path @@ fun path ->
+      Test_helpers.write_file path (Test_helpers.read_file fixture);
+      let expected = Cache.bindings (Cache.load fixture) in
+      let ck = Checkpoint.create ~path () in
+      match Checkpoint.load ~warn:(fun ~line:_ ~reason:_ -> ()) ck with
+      | None -> Alcotest.fail (fixture ^ ": an old checkpoint must resume")
+      | Some (cache, quarantine) ->
+          Alcotest.(check int) (fixture ^ ": every entry resumed") 20
+            (Cache.length cache);
+          Alcotest.(check bool)
+            (fixture ^ ": resumed bindings equal the file's")
+            true
+            (Cache.bindings cache = expected);
+          Checkpoint.flush ck ~cache ~quarantine;
+          Alcotest.(check bool) (fixture ^ ": rewritten as a v3 log") true
+            (Codec.detect (Test_helpers.read_file path) = `Binary);
+          Alcotest.(check bool)
+            (fixture ^ ": the log holds the same bindings")
+            true
+            (Cache.bindings (Cache.load path) = expected))
+    [ Test_helpers.v1_cache_fixture; Test_helpers.v2_cache_fixture ]
 
-let test_concurrent_tick_saves_serialize () =
-  (* Four domains racing [tick ~every:1]: every save transaction must run
-     to completion before the next begins — the stage log is a sequence of
-     complete quarantine/cache/commit triples, never interleaved. *)
+let test_concurrent_ticks () =
+  (* Four domains tick [~every:1] while adding entries, so their syncs
+     race: the log must hold every entry once, with no torn or skipped
+     frame. *)
   with_checkpoint_path @@ fun path ->
-  let stages = ref [] in
-  let lock = Mutex.create () in
-  let on_write s = Mutex.protect lock (fun () -> stages := s :: !stages) in
-  let ck = Checkpoint.create ~path ~every:1 ~on_write () in
+  let ck = Checkpoint.create ~path ~every:1 () in
   let cache = Cache.create () and quarantine = Quarantine.create () in
-  let ticker () =
-    for _ = 1 to 25 do
+  let ticker d () =
+    for i = 1 to 25 do
+      let key = Printf.sprintf "domain-%d-key-%d" d i in
+      if i mod 5 = 0 then Quarantine.add quarantine key (Quarantine.Crashed key)
+      else
+        Cache.add cache key
+          {
+            Ft_machine.Exec.sum_total_s = float_of_int i;
+            sum_nonloop_s = float_of_int d;
+            sum_loops = [ ("calc1", 0.5) ];
+          };
       ignore (Checkpoint.tick ck ~cache ~quarantine : bool)
     done
   in
-  let domains = List.init 4 (fun _ -> Domain.spawn ticker) in
-  List.iter Domain.join domains;
-  let rec well_formed = function
-    | [] -> true
-    | "quarantine" :: "cache" :: "commit" :: rest -> well_formed rest
-    | _ -> false
-  in
-  let log = List.rev !stages in
-  Alcotest.(check bool) "save transactions never interleave" true
-    (well_formed log);
-  Alcotest.(check int) "every due tick saved" (3 * 100) (List.length log)
+  List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (ticker d)));
+  let d = decode_log path in
+  Alcotest.(check bool) "no torn or skipped frame" true
+    ((not d.Codec.torn) && d.Codec.skipped = 0);
+  Alcotest.(check (list string)) "every summary, once"
+    (keys (Cache.bindings cache)) (keys d.Codec.entries);
+  Alcotest.(check (list string)) "every quarantine entry, once"
+    (keys (Quarantine.bindings quarantine))
+    (keys d.Codec.quarantined)
 
 (* --- the searches under fire ------------------------------------------ *)
 
@@ -553,26 +548,20 @@ let suite =
         test_transient_faults_are_retried_away;
       Alcotest.test_case "repeats deterministic at any jobs" `Quick
         test_repeats_deterministic;
-      Alcotest.test_case "quarantine save/load round-trip" `Quick
-        test_quarantine_roundtrip;
-      Alcotest.test_case "quarantine rejects garbage" `Quick
-        test_quarantine_rejects_garbage;
       Alcotest.test_case "preloaded quarantine changes nothing" `Quick
         test_quarantine_preload_changes_nothing;
       Alcotest.test_case "checkpoint round-trip" `Quick
         test_checkpoint_roundtrip;
       Alcotest.test_case "checkpoint resume bit-identical" `Quick
         test_checkpoint_resume_bit_identical;
-      Alcotest.test_case "commit protocol write order" `Quick
-        test_commit_write_order;
-      Alcotest.test_case "torn save caught by commit record" `Quick
-        test_torn_save_is_caught;
-      Alcotest.test_case "missing commit record warns" `Quick
-        test_missing_commit_record_warns;
+      Alcotest.test_case "every reason round-trips through the log" `Quick
+        test_log_reasons_roundtrip;
+      Alcotest.test_case "the log grows by the delta only" `Quick
+        test_log_grows_by_delta;
       Alcotest.test_case "text-era checkpoint resumes as binary" `Quick
         test_text_era_checkpoint_resumes;
-      Alcotest.test_case "concurrent tick saves serialize" `Quick
-        test_concurrent_tick_saves_serialize;
+      Alcotest.test_case "concurrent ticks log every entry once" `Quick
+        test_concurrent_ticks;
       Alcotest.test_case "searches complete under faults" `Quick
         test_searches_complete_under_faults;
       Alcotest.test_case "searches deterministic under faults" `Quick

@@ -604,6 +604,53 @@ let journal_truncation_property =
     QCheck.(int_range 0 total)
     prop
 
+(* --- durable runner ----------------------------------------------------- *)
+
+let test_durable_state_dir_clean () =
+  (* A served search keeps its checkpoint log, and the log's lock
+     sidecar, only while it is in flight: once it completes the state
+     directory holds nothing of it, while a failed search keeps its log. *)
+  let state_dir = Test_helpers.temp_dir "durable" in
+  Fun.protect ~finally:(fun () -> Test_helpers.remove_tree state_dir)
+  @@ fun () ->
+  let runner =
+    Runner.make_durable
+      ~make_engine:(fun ?cache ?quarantine ?checkpoint () ->
+        Ft_engine.Engine.create ~jobs:1 ?cache ?quarantine ?checkpoint ())
+      ~state_dir ~checkpoint_every:4 ()
+  in
+  let files_of fingerprint =
+    List.filter
+      (String.starts_with ~prefix:fingerprint)
+      (List.sort compare (Array.to_list (Sys.readdir state_dir)))
+  in
+  let spec =
+    { Protocol.benchmark = "swim"; platform = "bdw"; algorithm = "cfr";
+      seed = 11; pool = 40; top_x = None }
+  in
+  let in_flight = ref [] in
+  let tick () =
+    match files_of "fp-done" with [] -> () | files -> in_flight := files
+  in
+  (match runner.Runner.run spec ~fingerprint:"fp-done" ~tick with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "search failed: %s" e);
+  checki "a log and its lock while in flight" 2 (List.length !in_flight);
+  check
+    Alcotest.(list string)
+    "nothing of a completed search is left" [] (files_of "fp-done");
+  (* A zero-width CFR phase fails only after the collection phase has
+     been logged. *)
+  (match
+     runner.Runner.run
+       { spec with Protocol.top_x = Some 0 }
+       ~fingerprint:"fp-failed" ~tick:ignore
+   with
+  | Ok _ -> Alcotest.fail "a zero-width CFR search succeeded"
+  | Error _ -> ());
+  checkb "a failed search keeps its log" true
+    (List.mem "fp-failed.snap" (files_of "fp-failed"))
+
 (* --- supervisor / client backoff laws ----------------------------------- *)
 
 let test_supervisor_delays () =
@@ -671,6 +718,8 @@ let suite =
       Alcotest.test_case "journal crash accounting and quarantine" `Quick
         test_journal_crashes;
       QCheck_alcotest.to_alcotest journal_truncation_property;
+      Alcotest.test_case "durable runner leaves a clean state dir" `Quick
+        test_durable_state_dir_clean;
       Alcotest.test_case "supervisor backoff schedule law" `Quick
         test_supervisor_delays;
       Alcotest.test_case "client connect backoff law" `Quick
