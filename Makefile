@@ -1,5 +1,8 @@
 DUNE ?= dune
-FUNCY = $(DUNE) exec --no-build bin/funcy.exe --
+# Every target that runs funcy depends on `build`, so the smokes run the
+# built binary itself: concurrent `dune exec` calls (a daemon and its
+# client) race on dune's build lock.
+FUNCY = _build/default/bin/funcy.exe
 
 SMOKES = smoke smoke-faults smoke-trace smoke-procs smoke-shard \
          smoke-selfcheck smoke-adaptive smoke-serve smoke-recover
@@ -28,10 +31,7 @@ smoke: build
 #      to output byte-identical to an uninterrupted run;
 #   3. two concurrent runs (seeds 1 and 2) sharing one checkpoint log
 #      each print what they print alone, and a third seed-1 run resumes
-#      from the shared log without building anything.  The pair runs the
-#      built binary directly: under `dune exec` the first run is over
-#      before the second starts, and two dune processes starting at once
-#      can trip over each other's build lock.
+#      from the shared log without building anything.
 smoke-faults: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 --jobs 1 \
 	  > _build/smoke-faults-j1.out
@@ -49,10 +49,10 @@ smoke-faults: build
 	rm -f _build/smoke-shared.log _build/smoke-shared.log.lock
 	$(FUNCY) tune -b swim -a cfr -k 120 --seed 1 > _build/smoke-shared-solo1.out
 	$(FUNCY) tune -b swim -a cfr -k 120 --seed 2 > _build/smoke-shared-solo2.out
-	_build/default/bin/funcy.exe tune -b swim -a cfr -k 120 --seed 1 \
+	$(FUNCY) tune -b swim -a cfr -k 120 --seed 1 \
 	  --checkpoint _build/smoke-shared.log > _build/smoke-shared-1.out & \
 	  pid=$$!; \
-	  _build/default/bin/funcy.exe tune -b swim -a cfr -k 120 --seed 2 \
+	  $(FUNCY) tune -b swim -a cfr -k 120 --seed 2 \
 	    --checkpoint _build/smoke-shared.log > _build/smoke-shared-2.out \
 	    || { wait $$pid; exit 1; }; \
 	  wait $$pid

@@ -17,10 +17,11 @@ let compile ~profile ~target ~language ?(pgo = None) ~cv (loop : Loop.t) =
 let compile_program ~profile ~target ?(pgo = None) ~cv_of
     (program : Program.t) =
   let language = program.Program.language in
-  let compile_region (loop : Loop.t) =
-    let name = loop.Loop.name in
-    let region_pgo = Option.bind pgo (fun db -> Pgo.lookup db name) in
-    compile ~profile ~target ~language ~pgo:region_pgo ~cv:(cv_of name) loop
+  let compile_region index (loop : Loop.t) =
+    let region_pgo =
+      Option.bind pgo (fun db -> Pgo.lookup db loop.Loop.name)
+    in
+    compile ~profile ~target ~language ~pgo:region_pgo ~cv:(cv_of index) loop
   in
-  compile_region program.Program.nonloop
-  :: List.map compile_region program.Program.loops
+  compile_region 0 program.Program.nonloop
+  :: List.mapi (fun i loop -> compile_region (i + 1) loop) program.Program.loops

@@ -26,9 +26,11 @@ val compile_program :
   profile:Cprofile.t ->
   target:Target.t ->
   ?pgo:Pgo.t option ->
-  cv_of:(string -> Ft_flags.Cv.t) ->
+  cv_of:(int -> Ft_flags.Cv.t) ->
   Ft_prog.Program.t ->
   t list
 (** Compile every region of a program — the non-loop module first, then the
-    loops in program order — choosing each unit's CV with [cv_of region_name]
-    (constant function = traditional per-program model). *)
+    loops in program order — choosing each unit's CV with [cv_of index],
+    where [index] is the region's position in that order (0 for the
+    non-loop module, [i + 1] for loop [i]); a constant function is the
+    traditional per-program model. *)

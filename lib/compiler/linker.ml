@@ -27,17 +27,19 @@ let assignment_fingerprint units =
     5381 units
 
 (* Link-time perturbation of one region's decision.  Drawn from a stream
-   seeded by (program, region, whole-assignment fingerprint): deterministic
-   per assembled binary, different across assignments. *)
-let perturb ~(target : Target.t) ~program_name ~fingerprint (u : Cunit.t) =
+   seeded by the label ["lto:<program>:<region>:<fingerprint>"]: the
+   (program, region, whole-assignment fingerprint) triple, deterministic
+   per assembled binary, different across assignments.  [lto] is the
+   label's hash state after ["lto:<program>:"] and [fingerprint] the
+   fingerprint's decimal digits, both formatted once per link. *)
+let perturb ~(target : Target.t) ~lto ~fingerprint (u : Cunit.t) =
   let d = u.Cunit.decision in
   let f = u.Cunit.loop.Loop.features in
-  let rng =
-    Rng.create
-      (Rng.hash_strings
-         [ "lto:"; program_name; ":"; u.Cunit.region_name; ":";
-           string_of_int fingerprint ])
+  let seed =
+    Rng.fnv_feed (Rng.fnv_feed (Rng.fnv_feed lto u.Cunit.region_name) ":")
+      fingerprint
   in
+  let rng = Rng.create (Rng.fnv_finish seed) in
   let x = Rng.float rng 1.0 in
   if x < 0.30 then d
   else if x < 0.48 then
@@ -78,7 +80,8 @@ let perturb ~(target : Target.t) ~program_name ~fingerprint (u : Cunit.t) =
 
 (* Units must arrive in program order (non-loop module first), as
    {!Cunit.compile_program} produces them: one walk checks both the set
-   and the order the assignment fingerprint depends on. *)
+   and the order the assignment fingerprint depends on, so [link] takes
+   each region's unit by position. *)
 let covers_regions (program : Program.t) units =
   let rec in_order loops units =
     match (loops, units) with
@@ -92,48 +95,48 @@ let covers_regions (program : Program.t) units =
 let link ~target ~(program : Program.t) ?(instrumented = false) units =
   if not (covers_regions program units) then
     invalid_arg "Linker.link: units do not match the program's regions";
-  let find name =
-    List.find (fun (u : Cunit.t) -> u.Cunit.region_name = name) units
+  let nonloop_unit, loop_units =
+    match units with
+    | first :: rest -> (first, rest)
+    | [] -> assert false (* a program always has its non-loop region *)
   in
   let uniform =
-    match units with
-    | [] -> true
-    | (first : Cunit.t) :: rest ->
-        List.for_all
-          (fun (u : Cunit.t) -> Cv.equal u.Cunit.cv first.Cunit.cv)
-          rest
+    List.for_all
+      (fun (u : Cunit.t) -> Cv.equal u.Cunit.cv nonloop_unit.Cunit.cv)
+      loop_units
   in
   let any_ipo = List.exists (fun (u : Cunit.t) -> Cv.ipo u.Cunit.cv) units in
-  let fingerprint = assignment_fingerprint units in
+  let perturbed = (not uniform) && any_ipo in
+  let fingerprint =
+    if perturbed then string_of_int (assignment_fingerprint units) else ""
+  in
+  let lto =
+    Rng.fnv_feed
+      (Rng.fnv_feed (Rng.fnv_feed Rng.fnv_init "lto:") program.Program.name)
+      ":"
+  in
   let finalize (u : Cunit.t) =
     let final =
-      if uniform || not any_ipo then u.Cunit.decision
-      else
-        perturb ~target ~program_name:program.Program.name ~fingerprint u
+      if perturbed then perturb ~target ~lto ~fingerprint u
+      else u.Cunit.decision
     in
     { cunit = u; final }
   in
-  let nonloop_unit = find program.Program.nonloop.Loop.name in
-  let loop_regions =
-    List.map
-      (fun (l : Loop.t) -> finalize (find l.Loop.name))
-      program.Program.loops
-  in
   let nonloop = finalize nonloop_unit in
+  let loop_regions = List.map finalize loop_units in
   let total_code_bytes =
     List.fold_left
       (fun acc r -> acc + r.final.Decision.code_bytes)
       nonloop.final.Decision.code_bytes loop_regions
   in
   let link_luck =
-    if uniform || not any_ipo then 1.0
-    else
+    if perturbed then
       let rng =
         Rng.create
-          (Rng.hash_strings
-             [ "luck:"; program.Program.name; ":"; string_of_int fingerprint ])
+          (Rng.hash_strings [ "luck:"; program.Program.name; ":"; fingerprint ])
       in
       1.0 +. Float.abs (Rng.gauss rng ~mu:0.0 ~sigma:0.07)
+    else 1.0
   in
   {
     program;

@@ -14,7 +14,6 @@ type t = {
 
 let collect (ctx : Context.t) (outline : Outline.t) =
   let rng = Context.stream ctx "collection" in
-  let hot = outline.Outline.hot in
   let module_names = Outline.module_names outline in
   let modules = Array.of_list module_names in
   let k = Array.length ctx.Context.pool in
@@ -53,14 +52,17 @@ let collect (ctx : Context.t) (outline : Outline.t) =
           totals.(i) <- m.Exec.elapsed_s;
           (* Only outlined loops carry Caliper annotations; everything else
              is part of the residual, derived by subtraction as in the
-             paper. *)
-          let hot_sum = ref 0.0 in
+             paper.  The samples are the program's loops in program order,
+             so loop [p] is region [p + 1] of the outline. *)
           List.iteri
-            (fun j name ->
-              let s = List.assoc name m.Exec.region_samples in
-              times.(j + 1).(i) <- s;
-              hot_sum := !hot_sum +. s)
-            hot;
+            (fun p (_, s) ->
+              let j = outline.Outline.region_module.(p + 1) in
+              if j > 0 then times.(j).(i) <- s)
+            m.Exec.region_samples;
+          let hot_sum = ref 0.0 in
+          for j = 1 to Array.length modules - 1 do
+            hot_sum := !hot_sum +. times.(j).(i)
+          done;
           times.(0).(i) <- Float.max 0.0 (m.Exec.elapsed_s -. !hot_sum)
       | _ ->
           (* A faulted collection column contributes nothing: infinite

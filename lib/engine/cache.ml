@@ -259,6 +259,8 @@ let save t ~path =
    past the last whole frame — so a SIGKILL anywhere in this protocol
    loses at most the killed process's own uncommitted tail. *)
 
+type synced = { adopted : int; wrote : bool }
+
 let write_all = Ft_framing.Framing.write_all
 
 (* Write [buf] at byte offset [at], truncating first: if the file tail
@@ -315,7 +317,8 @@ let needs_compaction state =
   > (2 * (Hashtbl.length state.s_known + Hashtbl.length state.s_qknown)) + 32
 
 (* Atomic whole-file rewrite: one frame per entry, duplicates and torn
-   tails gone.  Installs fresh bookkeeping for the file it writes. *)
+   tails gone.  Installs fresh bookkeeping for the file it writes, and
+   answers [true]: the file changed. *)
 let compact t ~quarantine ~path =
   let state = fresh_state ~quarantine ~id:(0, 0) in
   let entries = List.sort compare (attach t path state) in
@@ -330,14 +333,17 @@ let compact t ~quarantine ~path =
   mark state.s_qknown quarantined;
   state.s_offset <- String.length summaries + Buffer.length rest;
   state.s_records <- List.length entries + List.length quarantined;
-  state.s_id <- file_id (Unix.stat path)
+  state.s_id <- file_id (Unix.stat path);
+  true
 
 (* Append the [candidates] and quarantine entries the file lacks.
-   Writes nothing when there is nothing new and no torn tail to cut. *)
+   Writes nothing, and answers [false], when there is nothing new and no
+   torn tail to cut. *)
 let append_news ~path ~torn state candidates =
   let entries = List.filter (lacking state.s_known) candidates in
   let quarantined = quarantine_news state in
-  if entries <> [] || quarantined <> [] || torn then begin
+  if entries = [] && quarantined = [] && not torn then false
+  else begin
     let buf = Buffer.create 4096 in
     encode_news buf entries quarantined;
     append_at ~path ~at:state.s_offset buf;
@@ -345,7 +351,8 @@ let append_news ~path ~torn state candidates =
     mark state.s_qknown quarantined;
     state.s_offset <- state.s_offset + Buffer.length buf;
     state.s_records <-
-      state.s_records + List.length entries + List.length quarantined
+      state.s_records + List.length entries + List.length quarantined;
+    true
   end
 
 (* Fold committed records into the cache (existing keys win), the
@@ -365,28 +372,27 @@ let adopt_decoded t state (d : Cache_codec.decoded) =
   adopt t d.entries
 
 let full_sync ~warn t ~quarantine ~path =
-  if not (Sys.file_exists path) then begin
-    compact t ~quarantine ~path;
-    0
-  end
+  if not (Sys.file_exists path) then
+    { adopted = 0; wrote = compact t ~quarantine ~path }
   else
     let contents, id = read_whole path in
     match decode_file ~warn ~path contents with
     | `Old entries ->
         let adopted = adopt t entries in
-        compact t ~quarantine ~path;
-        adopted
+        { adopted; wrote = compact t ~quarantine ~path }
     | `Log d ->
         let state = fresh_state ~quarantine ~id in
         let adopted = adopt_decoded t state d in
-        if d.torn || d.skipped > 0 || needs_compaction state then
-          compact t ~quarantine ~path
-        else begin
-          state.s_offset <- d.committed;
-          (* First contact: any entry of the cache may be news. *)
-          append_news ~path ~torn:false state (attach t path state)
-        end;
-        adopted
+        let wrote =
+          if d.torn || d.skipped > 0 || needs_compaction state then
+            compact t ~quarantine ~path
+          else begin
+            state.s_offset <- d.committed;
+            (* First contact: any entry of the cache may be news. *)
+            append_news ~path ~torn:false state (attach t path state)
+          end
+        in
+        { adopted; wrote }
 
 let delta_sync ~warn t ~quarantine ~path ~state ~size =
   let delta =
@@ -408,12 +414,15 @@ let delta_sync ~warn t ~quarantine ~path ~state ~size =
   in
   let adopted = adopt_decoded t state d in
   state.s_offset <- state.s_offset + d.committed;
-  if d.skipped > 0 || needs_compaction state then compact t ~quarantine ~path
-  else
-    (* [append_news] truncates to [state.s_offset] first, discarding any
-       torn tail [decode] refused to trust. *)
-    append_news ~path ~torn:d.torn state (take_pending t state);
-  adopted
+  let wrote =
+    if d.skipped > 0 || needs_compaction state then
+      compact t ~quarantine ~path
+    else
+      (* [append_news] truncates to [state.s_offset] first, discarding any
+         torn tail [decode] refused to trust. *)
+      append_news ~path ~torn:d.torn state (take_pending t state)
+  in
+  { adopted; wrote }
 
 let sync ?warn t ~quarantine ~path =
   let warn = with_default_warn ~path warn in

@@ -75,12 +75,19 @@ val merge : t -> from:t -> int
     values for equal keys are bit-identical by the determinism argument,
     so precedence is moot).  Returns the number adopted. *)
 
+type synced = {
+  adopted : int;  (** summaries adopted {e from} the file *)
+  wrote : bool;
+      (** the file changed: entries appended, a torn tail cut, or a
+          rewrite (a compaction, a migration, or the file's creation) *)
+}
+
 val sync :
   ?warn:(line:int -> reason:string -> unit) ->
   t ->
   quarantine:Quarantine.t ->
   path:string ->
-  int
+  synced
 (** Reconcile [t] and [quarantine] with the log at [path]: adopt every
     on-disk summary and quarantine entry they lack, then make the file
     hold the union of both kinds.  The one writer of the log:
@@ -90,7 +97,7 @@ val sync :
     the sidecar [path ^ ".lock"] (compaction replaces the data file by
     rename, so its inode cannot carry the lock), taken after a
     process-wide mutex, since the advisory lock does not exclude
-    domains.  Returns the number of summaries adopted {e from} the file.
+    domains.  Returns what it did: see {!synced}.
 
     This is O(delta), journal-style.  The first sync against a file
     reads it once (migrating a v1 or v2 file to v3 in place).  Every

@@ -10,12 +10,12 @@ let load ?warn t =
   if not (Sys.file_exists t.path) then None
   else begin
     let cache = Cache.create () and quarantine = Quarantine.create () in
-    ignore (Cache.sync ?warn cache ~quarantine ~path:t.path : int);
+    ignore (Cache.sync ?warn cache ~quarantine ~path:t.path : Cache.synced);
     Some (cache, quarantine)
   end
 
 let sync t ~cache ~quarantine =
-  ignore (Cache.sync cache ~quarantine ~path:t.path : int)
+  (Cache.sync cache ~quarantine ~path:t.path).Cache.wrote
 
 let flush t ~cache ~quarantine =
   Mutex.protect t.lock (fun () -> t.pending <- 0);
@@ -34,5 +34,4 @@ let tick t ~cache ~quarantine =
   (* Sync outside the counter lock: other workers may keep recording
      events meanwhile, and concurrent due syncs serialize in
      [Cache.sync]. *)
-  if due then sync t ~cache ~quarantine;
-  due
+  due && sync t ~cache ~quarantine

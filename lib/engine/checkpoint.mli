@@ -43,10 +43,13 @@ val load :
 val tick : t -> cache:Cache.t -> quarantine:Quarantine.t -> bool
 (** Record one state-changing event; syncs the log when [every] events
     have accumulated since the last sync, returning [true] iff this call
-    synced, so the engine can trace it.  Thread-safe: the event counter
-    is its own fine-grained lock, and concurrent due syncs from pool
-    workers serialize in {!Cache.sync}. *)
+    synced {e and} the sync changed the log, so the engine traces only
+    saves that happened.  Thread-safe: the event counter is its own
+    fine-grained lock, and concurrent due syncs from pool workers
+    serialize in {!Cache.sync}. *)
 
-val flush : t -> cache:Cache.t -> quarantine:Quarantine.t -> unit
+val flush : t -> cache:Cache.t -> quarantine:Quarantine.t -> bool
 (** Unconditional sync (called at the end of a run, and by the
-    [--die-after] crash hook just before the simulated kill). *)
+    [--die-after] crash hook just before the simulated kill); [true] iff
+    it changed the log.  A resume that added nothing leaves the log
+    untouched and answers [false]. *)

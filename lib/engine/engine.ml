@@ -162,19 +162,16 @@ let note t event =
   Telemetry.count t.telemetry event;
   Trace.emit t.trace event
 
-let checkpoint_tick t =
+(* A save is reported only when the sync changed the log. *)
+let checkpoint_with t sync =
   match t.checkpoint with
   | None -> ()
   | Some ck ->
-      if Checkpoint.tick ck ~cache:t.cache ~quarantine:t.quarantine then
+      if sync ck ~cache:t.cache ~quarantine:t.quarantine then
         note t (Event.Checkpoint_saved { path = Checkpoint.path ck })
 
-let flush_checkpoint t =
-  match t.checkpoint with
-  | None -> ()
-  | Some ck ->
-      Checkpoint.flush ck ~cache:t.cache ~quarantine:t.quarantine;
-      note t (Event.Checkpoint_saved { path = Checkpoint.path ck })
+let checkpoint_tick t = checkpoint_with t Checkpoint.tick
+let flush_checkpoint t = checkpoint_with t Checkpoint.flush
 
 let timed t name f =
   let t0 = Ft_util.Clock.now () in
@@ -186,73 +183,182 @@ let timed t name f =
 let instrumented = function
   | Uniform { instrumented; _ } | Assigned { instrumented; _ } -> instrumented
 
-(* The canonical description digested into a cache key.  Everything that
-   determines the produced binary and its noise-free runtime must appear:
-   compiler personality, platform, program, input geometry, build kind
-   (a whole-program build and a per-module build that happens to assign one
-   CV everywhere are different binaries: only the latter is outlined),
-   the CV assignment itself and the instrumentation flag.  Assignments are
-   sorted by module name so equal assignments written in different orders
-   share a key. *)
-let canonical_key ~(toolchain : Toolchain.t) ~(program : Ft_prog.Program.t)
-    ~(input : Input.t) build =
-  (* This runs once per evaluation and its bytes are pinned (they are what
-     existing caches digested), so it is written straight into a string
-     of the exact final length: no buffer growth, no copy, no per-CV
-     intermediate. *)
-  let head =
-    [
-      toolchain.Toolchain.cprofile.Ft_compiler.Cprofile.name;
-      ";";
-      Platform.short_name toolchain.Toolchain.arch.Ft_machine.Arch.platform;
-      ";";
-      program.Ft_prog.Program.name;
-      Printf.sprintf ";size=%h;steps=%d;" input.Input.size input.Input.steps;
-      (match build with
-      | Uniform { instrumented = true; _ } -> "uniform;instr=true;"
-      | Uniform { instrumented = false; _ } -> "uniform;instr=false;"
-      | Assigned { instrumented = true; _ } -> "assigned;instr=true"
-      | Assigned { instrumented = false; _ } -> "assigned;instr=false");
-    ]
+(* -- the evaluation context ---------------------------------------------- *)
+
+(* A job's cache key and its build depend on the job and on its context:
+   toolchain, outline, program and input.  Everything the context alone
+   decides is resolved here, once per context rather than once per job.
+
+   A key is the MD5 hex digest of a canonical description of everything
+   that determines the produced binary and its noise-free runtime:
+
+     <compiler>;<platform>;<program>;size=<%h>;steps=<n>;<kind>
+
+   then the CV of a uniform build, or [";<module>=<cv>"] for each module
+   of an assigned build, sorted by module name so equal assignments
+   written in different orders share a key.  [<kind>] tells a
+   whole-program build from a per-module build that happens to assign one
+   CV everywhere (different binaries: only the latter is outlined) and
+   carries the instrumentation flag.  The bytes are pinned: they are what
+   every existing cache digested.
+
+   So the head before the CVs is one of four strings, and the modules of
+   an assignment in outline order (every search builds them from
+   {!Outline.module_names}) land at fixed places in the body: each CV has
+   {!Cv.compact_length} bytes. *)
+type context = {
+  toolchain : Toolchain.t;
+  outline : Outline.t option;
+  program : Ft_prog.Program.t;
+  input : Input.t;
+  heads : string array;  (* by [kind] *)
+  modules : string array;  (* the outline's modules, in outline order *)
+  segments : string array;  (* [";<module>="], by module *)
+  offsets : int array;  (* where each module's segment starts in the body *)
+  body : int;  (* body length of an assignment in outline order *)
+}
+
+let kind = function
+  | Uniform { instrumented = false; _ } -> 0
+  | Uniform { instrumented = true; _ } -> 1
+  | Assigned { instrumented = false; _ } -> 2
+  | Assigned { instrumented = true; _ } -> 3
+
+let build_context ~(toolchain : Toolchain.t) ?outline
+    ~(program : Ft_prog.Program.t) ~(input : Input.t) () =
+  let prefix =
+    String.concat ";"
+      [
+        toolchain.Toolchain.cprofile.Ft_compiler.Cprofile.name;
+        Platform.short_name toolchain.Toolchain.arch.Ft_machine.Arch.platform;
+        program.Ft_prog.Program.name;
+        Printf.sprintf "size=%h;steps=%d;" input.Input.size input.Input.steps;
+      ]
+  in
+  let heads =
+    Array.map (( ^ ) prefix)
+      [|
+        "uniform;instr=false;";
+        "uniform;instr=true;";
+        "assigned;instr=false";
+        "assigned;instr=true";
+      |]
   in
   let modules =
-    match build with
-    | Uniform _ -> [||]
-    | Assigned { assignment; _ } ->
-        let a = Array.of_list assignment in
-        Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) a;
-        a
+    match outline with
+    | None -> [||]
+    | Some o -> Array.of_list (Outline.module_names o)
   in
-  (* The layout, described once: run to measure, then to write. *)
-  let emit ~put ~put_cv =
-    List.iter put head;
-    match build with
-    | Uniform { cv; _ } -> put_cv cv
-    | Assigned _ ->
-        Array.iter
-          (fun (m, cv) ->
-            put ";";
-            put m;
-            put "=";
-            put_cv cv)
-          modules
+  let segments = Array.map (fun m -> ";" ^ m ^ "=") modules in
+  let by_name = Array.init (Array.length modules) Fun.id in
+  Array.stable_sort
+    (fun i j -> String.compare modules.(i) modules.(j))
+    by_name;
+  let offsets = Array.make (Array.length modules) 0 in
+  let body =
+    Array.fold_left
+      (fun pos i ->
+        offsets.(i) <- pos;
+        pos + String.length segments.(i) + Cv.compact_length)
+      0 by_name
   in
-  let len = ref 0 in
-  emit
-    ~put:(fun s -> len := !len + String.length s)
-    ~put_cv:(fun _ -> len := !len + Cv.compact_length);
-  let out = Bytes.create !len and pos = ref 0 in
-  emit
-    ~put:(fun s ->
-      Bytes.blit_string s 0 out !pos (String.length s);
-      pos := !pos + String.length s)
-    ~put_cv:(fun cv ->
-      Cv.blit_compact cv out !pos;
-      pos := !pos + Cv.compact_length);
-  Bytes.unsafe_to_string out
+  { toolchain; outline; program; input; heads; modules; segments; offsets; body }
+
+(* Each domain keeps the last context it resolved: a batch resolves its
+   context once, and so does a search that calls the single-evaluation
+   entry points once per job in one context (OpenTuner and COBAYN
+   evaluate every candidate that way).  Every part of a context is
+   immutable, so physical equality of the parts is enough. *)
+let last_context = Domain.DLS.new_key (fun () -> ref None)
+
+let resolve ~toolchain ?outline ~program ~input () =
+  let last = Domain.DLS.get last_context in
+  match !last with
+  | Some c
+    when c.toolchain == toolchain && c.program == program && c.input == input
+         && Option.equal ( == ) c.outline outline ->
+      c
+  | _ ->
+      let c = build_context ~toolchain ?outline ~program ~input () in
+      last := Some c;
+      c
+
+(* Each domain writes its keys into one scratch buffer and digests them
+   in place: no per-key string. *)
+let scratch = Domain.DLS.new_key (fun () -> ref (Bytes.create 4096))
+
+let scratch_of len =
+  let r = Domain.DLS.get scratch in
+  if Bytes.length !r < len then r := Bytes.create (2 * len);
+  !r
+
+let put s buf pos =
+  Bytes.blit_string s 0 buf pos (String.length s);
+  pos + String.length s
+
+let put_cv cv buf pos =
+  Cv.blit_compact cv buf pos;
+  pos + Cv.compact_length
+
+let digest buf len = Digest.to_hex (Digest.subbytes buf 0 len)
+
+(* [f i cv] for module [i] of an assignment that lists exactly the
+   outline's modules in outline order, then [true]; [false], after some
+   of the calls, for any other assignment. *)
+let iter_in_order c assignment f =
+  let n = Array.length c.modules in
+  let rec from i = function
+    | [] -> i = n
+    | (m, cv) :: rest ->
+        i < n
+        && String.equal m (Array.unsafe_get c.modules i)
+        && begin
+             f i cv;
+             from (i + 1) rest
+           end
+  in
+  from 0 assignment
+
+(* Any other assignment is sorted (stably) by module name. *)
+let sorted_key head assignment =
+  let a = Array.of_list assignment in
+  Array.stable_sort (fun (m, _) (m', _) -> String.compare m m') a;
+  let len =
+    Array.fold_left
+      (fun len (m, _) -> len + String.length m + 2 + Cv.compact_length)
+      (String.length head) a
+  in
+  let buf = scratch_of len in
+  ignore
+    (Array.fold_left
+       (fun pos (m, cv) ->
+         Bytes.unsafe_set buf pos ';';
+         let pos = put m buf (pos + 1) in
+         Bytes.unsafe_set buf pos '=';
+         put_cv cv buf (pos + 1))
+       (put head buf 0) a);
+  digest buf len
+
+let key_in c build =
+  let head = c.heads.(kind build) in
+  match build with
+  | Uniform { cv; _ } ->
+      let len = String.length head + Cv.compact_length in
+      let buf = scratch_of len in
+      ignore (put_cv cv buf (put head buf 0));
+      digest buf len
+  | Assigned { assignment; _ } ->
+      let len = String.length head + c.body in
+      let buf = scratch_of len in
+      let at = put head buf 0 in
+      let place i cv =
+        ignore (put_cv cv buf (put c.segments.(i) buf (at + c.offsets.(i))))
+      in
+      if iter_in_order c assignment place then digest buf len
+      else sorted_key head assignment
 
 let key ~toolchain ~program ~input build =
-  Cache.digest (canonical_key ~toolchain ~program ~input build)
+  key_in (resolve ~toolchain ~program ~input ()) build
 
 (* The (module, CV) pairs a build compiles, for the per-module ICE check.
    A whole-program build is one compilation unit; per-module builds are
@@ -262,45 +368,46 @@ let compilations = function
   | Assigned { assignment; _ } ->
       List.sort (fun (a, _) (b, _) -> String.compare a b) assignment
 
-let compile ~toolchain ?outline ~program build =
+(* The outline's module CVs, in module order: read off an assignment in
+   outline order, looked up by name otherwise. *)
+let module_cvs c assignment =
+  let cvs = Array.make (Array.length c.modules) Cv.o3 in
+  if not (iter_in_order c assignment (Array.set cvs)) then
+    Array.iteri
+      (fun i m ->
+        match List.find_opt (fun (m', _) -> String.equal m m') assignment with
+        | Some (_, cv) -> cvs.(i) <- cv
+        | None -> invalid_arg ("Engine: assignment misses module " ^ m))
+      c.modules;
+  cvs
+
+let compile c build =
   match build with
   | Uniform { cv; instrumented } ->
-      Toolchain.compile_uniform toolchain ~cv ~instrumented program
+      Toolchain.compile_uniform c.toolchain ~cv ~instrumented c.program
   | Assigned { assignment; instrumented } -> (
-      match outline with
+      match c.outline with
       | None ->
           invalid_arg "Engine: a per-module build requires an ?outline"
       | Some o ->
-          Outline.compile ~toolchain o
-            ~assignment:(fun name ->
-              match List.assoc_opt name assignment with
-              | Some cv -> cv
-              | None ->
-                  invalid_arg ("Engine: assignment misses module " ^ name))
-            ~instrumented ())
+          Outline.compile_modules ~toolchain:c.toolchain o
+            ~cvs:(module_cvs c assignment) ~instrumented ())
 
-(* [?key_str] lets callers that already digested the job's key (the
-   measurement path computes it for quarantine and trace bookkeeping)
-   avoid paying for the canonical string and digest twice. *)
-let summary ?key_str t ~toolchain ?outline ~program ~input build =
-  let key =
-    match key_str with
-    | Some k -> k
-    | None -> key ~toolchain ~program ~input build
-  in
+(* [key] is [key_in c build], which the measurement path has already
+   computed for its quarantine and trace bookkeeping. *)
+let summary_in t c ~key build =
   match Cache.find t.cache key with
   | Some s ->
       note t (Event.Cache_hit { key });
       s
   | None ->
       note t (Event.Cache_miss { key });
-      let binary =
-        timed t "build" (fun () -> compile ~toolchain ?outline ~program build)
-      in
+      let binary = timed t "build" (fun () -> compile c build) in
       note t (Event.Build_done { key });
       let run =
         timed t "run" (fun () ->
-            Exec.evaluate ~arch:toolchain.Toolchain.arch ~input binary)
+            Exec.evaluate ~arch:c.toolchain.Toolchain.arch ~input:c.input
+              binary)
       in
       note t (Event.Run_done { key });
       let s = Exec.summarize run in
@@ -310,6 +417,10 @@ let summary ?key_str t ~toolchain ?outline ~program ~input build =
       | None -> ());
       checkpoint_tick t;
       s
+
+let summary t ~toolchain ?outline ~program ~input build =
+  let c = resolve ~toolchain ?outline ~program ~input () in
+  summary_in t c ~key:(key_in c build) build
 
 let evaluate t ~toolchain ?outline ~program ~input build =
   (summary t ~toolchain ?outline ~program ~input build).Exec.sum_total_s
@@ -363,7 +474,7 @@ let sample_measurement t ~key ~rng ~instrumented s =
       samples.(Stats.robust_representative
                  (Array.map (fun m -> m.Exec.elapsed_s) samples))
 
-let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
+let run_job t c ~key_str { build; rng } =
   match Quarantine.find t.quarantine key_str with
   | Some reason ->
       note t
@@ -377,7 +488,7 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
             List.find_map
               (fun (module_name, cv) ->
                 if
-                  Fault.ice f ~program:program.Ft_prog.Program.name
+                  Fault.ice f ~program:c.program.Ft_prog.Program.name
                     ~module_name cv
                 then Some module_name
                 else None)
@@ -389,7 +500,7 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
           quarantine_add t key_str (Quarantine.Build_failed module_name);
           Build_failed module_name
       | None -> (
-          let s = summary ~key_str t ~toolchain ?outline ~program ~input build in
+          let s = summary_in t c ~key:key_str build in
           match t.policy.faults with
           | None ->
               Ok
@@ -457,13 +568,16 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
               in
               attempt_run 0))
 
-let try_measure_one t ~toolchain ?outline ~program ~input job =
-  let key_str = key ~toolchain ~program ~input job.build in
+let try_measure_in t c job =
+  let key_str = key_in c job.build in
   Trace.job_started t.trace ~key:key_str;
-  let outcome = run_job t ~toolchain ?outline ~program ~input ~key_str job in
+  let outcome = run_job t c ~key_str job in
   Trace.job_finished t.trace ~key:key_str ~outcome:(outcome_tag outcome)
     ~elapsed_s:(elapsed outcome);
   outcome
+
+let try_measure_one t ~toolchain ?outline ~program ~input job =
+  try_measure_in t (resolve ~toolchain ?outline ~program ~input ()) job
 
 let measure_one t ~toolchain ?outline ~program ~input job =
   match try_measure_one t ~toolchain ?outline ~program ~input job with
@@ -542,7 +656,7 @@ let merge_delta t d =
    quarantines the key.  The chaos hook is armed only on the first
    round, so the retried job's re-run is never re-killed and the run
    converges to the uninterrupted result. *)
-let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
+let forked_outcomes t c jobs_array =
   let n = Array.length jobs_array in
   Telemetry.expect t.telemetry n;
   let batch = Trace.batch t.trace ~size:n in
@@ -559,8 +673,7 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
       ( (fun slot ->
           let i = idx.(slot) in
           Trace.in_job s.trace ~batch ~index:i (fun () ->
-              try_measure_one s ~toolchain ?outline ~program ~input
-                jobs_array.(i))),
+              try_measure_in s c jobs_array.(i))),
         fun () -> delta_of s )
     in
     let crashed = ref [] in
@@ -594,10 +707,8 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
     | crashed ->
         List.iter
           (fun (i, detail) ->
-            let key_str =
-              key ~toolchain ~program ~input jobs_array.(i).build
-            in
-            quarantine_add t key_str
+            quarantine_add t
+              (key_in c jobs_array.(i).build)
               (Quarantine.Crashed ("worker: " ^ detail));
             outcomes.(i) <- Some (Worker_crashed detail);
             Telemetry.tick t.telemetry)
@@ -609,9 +720,9 @@ let forked_outcomes t ~toolchain ?outline ~program ~input jobs_array =
 (* -- batch entry point -------------------------------------------------- *)
 
 let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
+  let c = resolve ~toolchain ?outline ~program ~input () in
   match t.backend with
-  | Backend.Processes | Backend.Sharded ->
-      forked_outcomes t ~toolchain ?outline ~program ~input jobs_array
+  | Backend.Processes | Backend.Sharded -> forked_outcomes t c jobs_array
   | Backend.Domains ->
       Telemetry.expect t.telemetry (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in
@@ -622,7 +733,7 @@ let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
                  Fun.protect
                    ~finally:(fun () -> Telemetry.tick t.telemetry)
                    (fun () ->
-                     try_measure_one t ~toolchain ?outline ~program ~input job)))
+                     try_measure_in t c job)))
            (Array.mapi (fun i job -> (i, job)) jobs_array)
        with
       (* A fatal exception (cancellation, runtime collapse) must surface

@@ -172,10 +172,13 @@ val key :
   build ->
   string
 (** The content-addressed cache key of a build in an execution context
-    (exposed for tests; also the structural key faults are drawn from). *)
+    (exposed for tests; also the structural key faults are drawn from):
+    the MD5 hex digest of a canonical description of the compiler,
+    platform, program, input geometry, build kind, instrumentation flag
+    and CVs, with an assignment's modules sorted by name.  Its bytes are
+    pinned, since every cache on disk was keyed by them. *)
 
 val summary :
-  ?key_str:string ->
   t ->
   toolchain:Ft_machine.Toolchain.t ->
   ?outline:Ft_outline.Outline.t ->
@@ -183,11 +186,14 @@ val summary :
   input:Ft_prog.Input.t ->
   build ->
   Ft_machine.Exec.summary
-(** Noise-free summary of one build, through the cache.  [key_str], when
-    given, must be {!key} of the same build in the same context — callers
-    that already computed it skip the second canonicalization + digest on
-    the evaluation hot path.
-    @raise Invalid_argument for an [Assigned] build without [?outline]. *)
+(** Noise-free summary of one build, through the cache.  This and the
+    other single-evaluation functions below resolve their context as a
+    batch does (see {!try_measure_batch}); each domain keeps the last
+    context it resolved, compared by physical equality of its parts, so
+    a search that evaluates one job at a time in one context resolves it
+    once.
+    @raise Invalid_argument for an [Assigned] build without [?outline], or
+    whose assignment misses one of the outline's modules. *)
 
 val evaluate :
   t ->
@@ -234,7 +240,12 @@ val try_measure_batch :
 (** Measure a batch on the pool.  Every job yields its own
     {!job_outcome} in submission order, bit-identical for any [jobs]
     setting {e and any backend} (see the determinism argument above),
-    and progress ticks fire per completed job.  Injected faults (and
+    and progress ticks fire per completed job.  What the context alone
+    decides is resolved once per batch: the key's head and, given the
+    outline, where each module lands in the key.  An assignment that
+    lists the outline's modules in outline order, as every search builds
+    them, then has its key written in place and digested without a sort,
+    and its module CVs read by position.  Injected faults (and
     even unexpected worker exceptions, recorded as [Crashed]) never
     poison sibling jobs.  On the forked backends a {e dying worker}
     doesn't either: the job it was running is re-run on a fresh worker

@@ -143,8 +143,10 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
     Telemetry.set_progress (Engine.telemetry doomed)
       (fun ~completed ~expected:_ ->
         if completed = n then
-          Checkpoint.flush ck ~cache:(Engine.cache doomed)
-            ~quarantine:(Engine.quarantine doomed));
+          ignore
+            (Checkpoint.flush ck ~cache:(Engine.cache doomed)
+               ~quarantine:(Engine.quarantine doomed)
+              : bool));
     ignore (search doomed : string);
     match Checkpoint.load ck with
     | None ->

@@ -19,6 +19,11 @@ let o3 = make Flag.default_o3
 let o2 = make Flag.default_o2
 let get t id = t.(Flag.index id)
 
+(* [make] fills slot [i] with flag [Flag.all.(i)], and [get] finds it
+   there. *)
+let () = assert (Array.for_all (fun id -> Flag.all.(Flag.index id) = id) Flag.all)
+let slot (t : t) i = t.(i)
+
 let set t id v =
   check id v;
   let t' = Array.copy t in
@@ -26,7 +31,17 @@ let set t id v =
   t'
 
 let value_name t id = (Flag.values id).(get t id)
-let equal = ( = )
+(* Every CV has [Flag.count] slots, so equality is one monomorphic walk;
+   the linker compares each unit's CV with the first, often the same
+   array. *)
+let equal (a : t) b =
+  a == b
+  ||
+  let rec from i =
+    i = Flag.count || (Array.unsafe_get a i = Array.unsafe_get b i && from (i + 1))
+  in
+  from 0
+
 let compare = compare
 
 let render_flag id v =

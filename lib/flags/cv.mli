@@ -22,6 +22,11 @@ val make : (Flag.id -> int) -> t
 val get : t -> Flag.id -> int
 (** Raw value index of a flag. *)
 
+val slot : t -> int -> int
+(** [slot t i] is [get t Flag.all.(i)], read by position: for loops over
+    every flag in {!Flag.all} order.  @raise Invalid_argument unless
+    [0 <= i < Flag.count]. *)
+
 val set : t -> Flag.id -> int -> t
 (** Functional update.  @raise Invalid_argument on out-of-domain values. *)
 
@@ -29,6 +34,8 @@ val value_name : t -> Flag.id -> string
 (** Printable value, e.g. [value_name o3 Flag.Unroll = "auto"]. *)
 
 val equal : t -> t -> bool
+(** Slot-by-slot equality, with a physical-equality fast path. *)
+
 val compare : t -> t -> int
 
 val render : t -> string

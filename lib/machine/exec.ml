@@ -244,7 +244,10 @@ let evaluate ~(arch : Arch.t) ~(input : Input.t) (binary : Linker.binary) =
   let icache_mult = 1.0 +. (0.06 *. Float.min 2.0 overflow) in
   (* Coupling 3: shared-array padding decided by the non-loop module. *)
   let padded = binary.Linker.data_padded in
-  let finalize r =
+  (* The binary's regions are its program's, in program order: [index] 0
+     is the non-loop region, [i + 1] loop [i]. *)
+  let quirks = Quirk.regions ~platform:arch.Arch.platform program in
+  let finalize index r =
     let align_c = if padded && r.r_vectorized then 0.992 else 1.0 in
     let align_c = if r.r_code_aligned then align_c *. 0.995 else align_c in
     (* Padding aligns vector streams but wastes line/TLB capacity. *)
@@ -256,14 +259,10 @@ let evaluate ~(arch : Arch.t) ~(input : Input.t) (binary : Linker.binary) =
       /. freq_factor
     in
     let memory = r.r_memory *. align_m in
-    let quirk =
-      Quirk.factor ~platform:arch.Arch.platform
-        ~program:program.Program.name ~region:r.r_name r.r_cv
-    in
+    let quirk = Quirk.region_factor quirks index r.r_cv in
+    (* Caliper annotates the loops, not the non-loop region. *)
     let caliper_mult =
-      if binary.Linker.instrumented && r.r_name <> raw_nonloop.r_name then
-        1.02
-      else 1.0
+      if binary.Linker.instrumented && index > 0 then 1.02 else 1.0
     in
     let seconds =
       (Float.max compute memory +. r.r_fixed) *. quirk *. caliper_mult
@@ -277,8 +276,8 @@ let evaluate ~(arch : Arch.t) ~(input : Input.t) (binary : Linker.binary) =
       decision = r.r_decision;
     }
   in
-  let nonloop = finalize raw_nonloop in
-  let loops = List.map finalize raw_loops in
+  let nonloop = finalize 0 raw_nonloop in
+  let loops = List.mapi (fun i r -> finalize (i + 1) r) raw_loops in
   let total_s =
     List.fold_left (fun acc r -> acc +. r.seconds) nonloop.seconds loops
   in

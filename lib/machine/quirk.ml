@@ -29,7 +29,7 @@ let flag_factor ~platform ~program ~region (flag : Flag.id) value =
 
    The product itself is recomputed on every call, in [Flag.all] order
    from 1.0, so every factor is bit-identical to the in-order product of
-   {!flag_factor}. *)
+   {!flag_factor}; the CV is read by position in that order too. *)
 let offsets, width =
   let o = Array.make Flag.count 0 and w = ref 0 in
   Array.iteri
@@ -91,13 +91,77 @@ let table ~platform ~program ~region =
           table
         end)
 
-let factor ~platform ~program ~region cv =
-  let table = table ~platform ~program ~region in
+let product table cv =
   let f = ref 1.0 in
   for i = 0 to Flag.count - 1 do
     f :=
       !f
       *. Array.unsafe_get table
-           (Array.unsafe_get offsets i + Cv.get cv (Array.unsafe_get Flag.all i))
+           (Array.unsafe_get offsets i + Cv.slot cv i)
   done;
   !f
+
+let factor ~platform ~program ~region cv =
+  product (table ~platform ~program ~region) cv
+
+(* [Exec.evaluate] prices every region of a binary, and a binary's regions
+   are its program's: the non-loop region, then the loops in program
+   order.  So each (platform, program) also gets its regions' tables in
+   that order, found once per evaluation instead of once per region.
+   They are published like the tables: readers take the current list
+   with one [Atomic.get]; a miss gathers the tables (each built, if need
+   be, by [table]) and adds the entry under [lock], re-checking first.
+   The list holds one entry per (platform, program) pair priced. *)
+type regions = float array array
+
+type program_entry = {
+  p_platform : Ft_prog.Platform.t;
+  p_program : Ft_prog.Program.t;
+  p_tables : regions;
+}
+
+let programs : program_entry list Atomic.t = Atomic.make []
+
+(* The suite has one program per name, but tests build their own: the
+   region names must match too. *)
+let same_program (a : Ft_prog.Program.t) (b : Ft_prog.Program.t) =
+  a == b
+  || String.equal a.Ft_prog.Program.name b.Ft_prog.Program.name
+     && List.equal
+          (fun (l : Ft_prog.Loop.t) (l' : Ft_prog.Loop.t) ->
+            String.equal l.Ft_prog.Loop.name l'.Ft_prog.Loop.name)
+          (a.Ft_prog.Program.nonloop :: a.Ft_prog.Program.loops)
+          (b.Ft_prog.Program.nonloop :: b.Ft_prog.Program.loops)
+
+(* [[||]] when absent; a program has at least its non-loop region. *)
+let rec find_program ~platform program = function
+  | [] -> [||]
+  | e :: rest ->
+      if e.p_platform = platform && same_program e.p_program program then
+        e.p_tables
+      else find_program ~platform program rest
+
+let regions ~platform (program : Ft_prog.Program.t) =
+  let found = find_program ~platform program (Atomic.get programs) in
+  if Array.length found > 0 then found
+  else
+    let tables =
+      Array.of_list
+        (List.map
+           (fun (l : Ft_prog.Loop.t) ->
+             table ~platform ~program:program.Ft_prog.Program.name
+               ~region:l.Ft_prog.Loop.name)
+           (program.Ft_prog.Program.nonloop :: program.Ft_prog.Program.loops))
+    in
+    Mutex.protect lock (fun () ->
+        let known = Atomic.get programs in
+        let found = find_program ~platform program known in
+        if Array.length found > 0 then found
+        else begin
+          Atomic.set programs
+            ({ p_platform = platform; p_program = program; p_tables = tables }
+            :: known);
+          tables
+        end)
+
+let region_factor regions index cv = product regions.(index) cv

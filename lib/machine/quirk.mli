@@ -16,7 +16,8 @@
     once per process into a table shared by all domains: built under a
     lock on the region's first use, immutable afterwards, read without
     locking.  There is one table per (platform, program, region) priced,
-    however many CVs are. *)
+    however many CVs are, and {!regions} gathers a program's tables in
+    region order, so pricing a whole binary looks its program up once. *)
 
 val factor :
   platform:Ft_prog.Platform.t ->
@@ -30,6 +31,22 @@ val factor :
     [(1 - 0.002)^33, (1 + 0.002)^33] ≈ [0.936, 1.068], and within about
     ±1.5 % of 1.0 in practice (independent ± contributions cancel).  Safe to
     call from any domain; allocates only its result. *)
+
+type regions
+(** One program's tables on one platform, by region position: 0 for the
+    non-loop region, [i + 1] for loop [i] — the order of a
+    {!Ft_compiler.Linker.binary}'s regions. *)
+
+val regions : platform:Ft_prog.Platform.t -> Ft_prog.Program.t -> regions
+(** Resolved once per (platform, program) per process and shared by all
+    domains, and published as the per-region tables it indexes are: added
+    under the same lock on the pair's first use, read without locking.  A
+    later call walks the short list of pairs priced so far.  Safe to call
+    from any domain. *)
+
+val region_factor : regions -> int -> Ft_flags.Cv.t -> float
+(** [region_factor (regions ~platform program) i cv] is {!factor} for
+    region [i] of [program], bit for bit.  Allocates only its result. *)
 
 val flag_factor :
   platform:Ft_prog.Platform.t ->

@@ -26,8 +26,10 @@ val compile_uniform :
 
 val compile_assigned :
   t ->
-  cv_of:(string -> Ft_flags.Cv.t) ->
+  cv_of:(int -> Ft_flags.Cv.t) ->
   ?instrumented:bool ->
   Ft_prog.Program.t ->
   Ft_compiler.Linker.binary
-(** Per-module build: each region compiled with [cv_of region_name]. *)
+(** Per-module build: each region compiled with [cv_of index], its
+    position in program order as {!Ft_compiler.Cunit.compile_program}
+    numbers it. *)

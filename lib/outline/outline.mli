@@ -11,6 +11,12 @@ type t = private {
   hot : string list;  (** outlined loops, hottest first; J = length *)
   cold : string list;  (** loops left in the residual module *)
   baseline_report : Ft_caliper.Report.t;  (** the profile that decided *)
+  region_module : int array;
+      (** each program region's module, as an index into {!module_names}:
+          the non-loop region first, then the loops in program order —
+          the order {!Ft_compiler.Cunit.compile_program} numbers regions
+          in.  Resolved once here, so a build looks a region's CV up by
+          position instead of by name. *)
 }
 
 val residual_module : string
@@ -41,10 +47,17 @@ val module_names : t -> string list
 val module_count : t -> int
 (** J + 1 (the paper's J hot loops plus the residual module). *)
 
-val cv_for_region : t -> assignment:(string -> Ft_flags.Cv.t) -> string -> Ft_flags.Cv.t
-(** Resolve a program region to its module's CV: hot loops use their own
-    assignment, everything else (non-loop region and cold loops) uses the
-    residual module's. *)
+val compile_modules :
+  toolchain:Ft_machine.Toolchain.t ->
+  t ->
+  cvs:Ft_flags.Cv.t array ->
+  ?instrumented:bool ->
+  unit ->
+  Ft_compiler.Linker.binary
+(** Compile + link the outlined program with module [j] of
+    {!module_names} built under [cvs.(j)]: each region takes its
+    module's CV through {!field-region_module}.
+    @raise Invalid_argument unless [cvs] has {!module_count} entries. *)
 
 val compile :
   toolchain:Ft_machine.Toolchain.t ->
@@ -53,5 +66,7 @@ val compile :
   ?instrumented:bool ->
   unit ->
   Ft_compiler.Linker.binary
-(** Compile + link the outlined program under a per-module CV assignment
-    ([assignment] is consulted for {!module_names} only). *)
+(** {!compile_modules} with [cvs] resolved by name: [assignment] is
+    consulted once per entry of {!module_names}, in that order.  Hot loops
+    get their own module's CV; cold loops and the non-loop region get the
+    residual module's. *)

@@ -30,6 +30,10 @@ let split t =
 let fnv_offset = Int64.to_int 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3
 
+type fnv = int
+
+let fnv_init = fnv_offset
+
 let fnv_feed h s =
   let h = ref h in
   for i = 0 to String.length s - 1 do
@@ -37,8 +41,9 @@ let fnv_feed h s =
   done;
   !h
 
-let hash_string s = fnv_feed fnv_offset s land max_int
-let hash_strings parts = List.fold_left fnv_feed fnv_offset parts land max_int
+let fnv_finish h = h land max_int
+let hash_string s = fnv_finish (fnv_feed fnv_init s)
+let hash_strings parts = fnv_finish (List.fold_left fnv_feed fnv_init parts)
 
 (* The unfolded hash, in boxed arithmetic: bit 63 needs a full int64. *)
 let hash64_sub s ~pos ~len =

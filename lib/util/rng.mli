@@ -78,7 +78,22 @@ val hash_strings : string list -> int
 (** [hash_strings parts] is [hash_string (String.concat "" parts)],
     computed by feeding the parts in order without building the
     concatenation — for seeds whose label has a fixed shape (e.g.
-    ["lto:"; program; ":"; region]). *)
+    ["luck:"; program; ":"; fingerprint]). *)
+
+type fnv = private int
+(** The running state of that FNV-1a hash, unfolded.  The hash is
+    sequential, so a state fed a common prefix once can be continued
+    with each suffix: [fnv_finish (fnv_feed (fnv_feed fnv_init a) b)] is
+    [hash_strings [a; b]]. *)
+
+val fnv_init : fnv
+(** The state before any byte. *)
+
+val fnv_feed : fnv -> string -> fnv
+(** Feed the bytes of a string.  Allocates nothing. *)
+
+val fnv_finish : fnv -> int
+(** Fold a state to the non-negative int {!hash_string} returns. *)
 
 val hash64_sub : string -> pos:int -> len:int -> int64
 (** The same FNV-1a over [len] bytes from [pos], all 64 bits kept: the

@@ -618,7 +618,7 @@ let test_old_formats_migrate () =
             = detected);
           let fresh = Cache.create () in
           Cache.add fresh "v3-key" (summary_of_seed 999);
-          let adopted =
+          let { Cache.adopted; _ } =
             Cache.sync fresh ~quarantine:(Quarantine.create ()) ~path
           in
           Alcotest.(check int) ("every " ^ version ^ " entry adopted") 20

@@ -343,9 +343,16 @@ let test_uniform_builds_never_perturbed () =
 let mixed_binary seed =
   let rng = Ft_util.Rng.create seed in
   let pool = Ft_flags.Space.sample_pool rng 40 in
+  let program = Ft_suite.Cloverleaf.program in
+  let names =
+    Array.of_list
+      (List.map
+         (fun (l : Ft_prog.Loop.t) -> l.Ft_prog.Loop.name)
+         (program.Ft_prog.Program.nonloop :: program.Ft_prog.Program.loops))
+  in
   Ft_machine.Toolchain.compile_assigned toolchain
-    ~cv_of:(fun name -> pool.(Ft_util.Rng.hash_string name mod 40))
-    Ft_suite.Cloverleaf.program
+    ~cv_of:(fun i -> pool.(Ft_util.Rng.hash_string names.(i) mod 40))
+    program
 
 let test_link_deterministic () =
   let b1 = mixed_binary 5 and b2 = mixed_binary 5 in
@@ -404,9 +411,16 @@ let test_link_validates_units () =
 let test_fingerprint_tracks_decisions_not_flags () =
   (* Changing a flag that changes no decision must not change the link. *)
   let program = Ft_suite.Cloverleaf.program in
+  let dt =
+    1
+    + Option.get
+        (List.find_index
+           (fun (l : Ft_prog.Loop.t) -> l.Ft_prog.Loop.name = "dt")
+           program.Ft_prog.Program.loops)
+  in
   let units cv_dt =
     Cunit.compile_program ~profile:icc ~target:bdw
-      ~cv_of:(fun name -> if name = "dt" then cv_dt else Cv.o3)
+      ~cv_of:(fun i -> if i = dt then cv_dt else Cv.o3)
       program
   in
   let base = Cv.set Cv.o3 Flag.Ipo 1 in

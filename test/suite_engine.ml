@@ -429,6 +429,109 @@ let test_key_bytes_pinned () =
             instrumented = true;
           }))
 
+(* The batch path writes a key straight into a scratch buffer, placing
+   an assignment's modules at offsets precomputed from the outline, and
+   sorts only assignments it does not recognize.  This property checks
+   that against the canonical string built the naive way: one
+   concatenation, the assignment sorted by module name. *)
+let naive_key ~program ~input build =
+  let head =
+    String.concat ";"
+      [
+        toolchain.Ft_machine.Toolchain.cprofile.Ft_compiler.Cprofile.name;
+        Platform.short_name platform;
+        program.Program.name;
+        Printf.sprintf "size=%h" input.Input.size;
+        Printf.sprintf "steps=%d" input.Input.steps;
+        "";
+      ]
+  in
+  let cv = Ft_flags.Cv.to_compact in
+  let body =
+    match build with
+    | Engine.Uniform { cv = c; instrumented } ->
+        Printf.sprintf "uniform;instr=%b;%s" instrumented (cv c)
+    | Engine.Assigned { assignment; instrumented } ->
+        Printf.sprintf "assigned;instr=%b" instrumented
+        ^ String.concat ""
+            (List.map
+               (fun (m, c) -> ";" ^ m ^ "=" ^ cv c)
+               (List.stable_sort (fun (a, _) (b, _) -> compare a b) assignment))
+  in
+  Digest.to_hex (Digest.string (head ^ body))
+
+let key_program = Ft_suite.Cloverleaf.program
+let key_input = Ft_suite.Suite.tuning_input platform key_program
+
+let key_outline =
+  lazy
+    (Ft_outline.Outline.outline ~toolchain ~program:key_program
+       ~input:key_input ~rng:(Rng.create 7) ())
+
+(* A build drawn from [seed]: uniform, or assigned over the outline's
+   modules in outline order, shuffled, or with modules the outline lacks
+   inserted anywhere (names sorting first, last and in between). *)
+let key_case (seed, uniform, instrumented, order) =
+  let rng = Rng.create seed in
+  let pool = Ft_flags.Space.sample_pool rng 6 in
+  let cv () = Rng.choose rng pool in
+  if uniform then Engine.Uniform { cv = cv (); instrumented }
+  else
+    let modules =
+      List.map
+        (fun m -> (m, cv ()))
+        (Ft_outline.Outline.module_names (Lazy.force key_outline))
+    in
+    let assignment =
+      match order with
+      | `Outline -> modules
+      | `Shuffled ->
+          let a = Array.of_list modules in
+          Rng.shuffle rng a;
+          Array.to_list a
+      | `Extra ->
+          List.fold_left
+            (fun a name ->
+              let at = Rng.int rng (List.length a + 1) in
+              List.filteri (fun i _ -> i < at) a
+              @ ((name, cv ()) :: List.filteri (fun i _ -> i >= at) a))
+            modules
+            (List.filteri
+               (fun _ _ -> Rng.bool rng)
+               [ "!first"; "dt_"; "~last"; "zz" ])
+    in
+    Engine.Assigned { assignment; instrumented }
+
+let render_build = function
+  | Engine.Uniform { cv; instrumented } ->
+      Printf.sprintf "uniform instr=%b %s" instrumented
+        (Ft_flags.Cv.to_compact cv)
+  | Engine.Assigned { assignment; instrumented } ->
+      Printf.sprintf "assigned instr=%b [%s]" instrumented
+        (String.concat "; " (List.map fst assignment))
+
+let prop_batch_key_bytes =
+  QCheck.Test.make ~count:150 ~name:"batch key bytes equal the naive digest"
+    (QCheck.make
+       ~print:(fun c -> render_build (key_case c))
+       QCheck.Gen.(
+         quad (int_bound 1_000_000) bool bool
+           (oneofl [ `Outline; `Shuffled; `Extra ])))
+    (fun case ->
+      let build = key_case case in
+      let expected = naive_key ~program:key_program ~input:key_input build in
+      let engine = Engine.create () in
+      let outcomes =
+        Engine.try_measure_batch engine ~toolchain
+          ~outline:(Lazy.force key_outline) ~program:key_program
+          ~input:key_input
+          [| { Engine.build; rng = Rng.create 1 } |]
+      in
+      (match outcomes.(0) with Engine.Ok _ -> true | _ -> false)
+      && List.map fst (Cache.bindings (Engine.cache engine)) = [ expected ]
+      && Engine.key ~toolchain ~program:key_program ~input:key_input build
+         = expected)
+
 (* --- telemetry -------------------------------------------------------------- *)
 
 let test_telemetry_progress_and_timers () =
@@ -502,6 +605,7 @@ let suite =
         test_preloaded_cache_changes_nothing;
       Alcotest.test_case "cache key sensitivity" `Quick test_key_sensitivity;
       Alcotest.test_case "cache key bytes pinned" `Quick test_key_bytes_pinned;
+      QCheck_alcotest.to_alcotest prop_batch_key_bytes;
       Alcotest.test_case "telemetry progress and timers" `Quick
         test_telemetry_progress_and_timers;
       Alcotest.test_case "telemetry render" `Quick test_render_mentions_counters;

@@ -349,7 +349,7 @@ let test_log_reasons_roundtrip () =
   let quarantine = Quarantine.create () in
   List.iter (fun (k, r) -> Quarantine.add quarantine k r) reasons;
   let ck = Checkpoint.create ~path () in
-  Checkpoint.flush ck ~cache:(Cache.create ()) ~quarantine;
+  ignore (Checkpoint.flush ck ~cache:(Cache.create ()) ~quarantine : bool);
   let exact = function
     | Quarantine.Timed_out s -> `Timed_out (Int64.bits_of_float s)
     | r -> `Reason r
@@ -402,6 +402,49 @@ let test_log_grows_by_delta () =
     && after.Unix.st_size = before.Unix.st_size);
   Alcotest.(check bool) "same bytes" true (Test_helpers.read_file path = bytes)
 
+let test_trace_records_only_real_saves () =
+  (* A save is traced only when a sync changed the log: a cold
+     checkpointed search saves, a resume that finds every summary in the
+     log and adds nothing (100 % hits) traces no save and leaves the log's
+     bytes alone. *)
+  with_checkpoint_path @@ fun path ->
+  let search engine =
+    Tuner.run_cfr ~top_x:5
+      (Tuner.make_session ~pool_size:30 ~engine ~platform ~program ~input
+         ~seed:6262 ())
+  in
+  let saves trace =
+    List.length
+      (List.filter
+         (fun (st : Ft_obs.Trace.stamped) ->
+           match st.Ft_obs.Trace.event with
+           | Ft_obs.Event.Checkpoint_saved _ -> true
+           | _ -> false)
+         (Ft_obs.Trace.events trace))
+  in
+  let ck = Checkpoint.create ~path ~every:8 () in
+  let cold_trace = Ft_obs.Trace.create ~clock:Ft_obs.Trace.Wall () in
+  let cold = Engine.create ~jobs:2 ~checkpoint:ck ~trace:cold_trace () in
+  let first = search cold in
+  Engine.flush_checkpoint cold;
+  Alcotest.(check bool) "a cold checkpointed run traces its saves" true
+    (saves cold_trace >= 1);
+  let bytes = Test_helpers.read_file path in
+  let cache, quarantine = Option.get (Checkpoint.load ck) in
+  let trace = Ft_obs.Trace.create ~clock:Ft_obs.Trace.Wall () in
+  let resumed =
+    Engine.create ~jobs:2 ~cache ~quarantine ~checkpoint:ck ~trace ()
+  in
+  let again = search resumed in
+  Engine.flush_checkpoint resumed;
+  let s = Telemetry.snapshot (Engine.telemetry resumed) in
+  Alcotest.(check bool) "the resume hit every summary" true
+    (s.Telemetry.cache_misses = 0 && s.Telemetry.cache_hits > 0
+    && again = first);
+  Alcotest.(check int) "no save traced" 0 (saves trace);
+  Alcotest.(check bool) "log bytes unchanged" true
+    (Test_helpers.read_file path = bytes)
+
 let test_text_era_checkpoint_resumes () =
   (* Checkpoints left by the v1 text and v2 binary writers must resume
      with every entry, and the first sync rewrites them as v3 logs without
@@ -421,7 +464,7 @@ let test_text_era_checkpoint_resumes () =
             (fixture ^ ": resumed bindings equal the file's")
             true
             (Cache.bindings cache = expected);
-          Checkpoint.flush ck ~cache ~quarantine;
+          ignore (Checkpoint.flush ck ~cache ~quarantine : bool);
           Alcotest.(check bool) (fixture ^ ": rewritten as a v3 log") true
             (Codec.detect (Test_helpers.read_file path) = `Binary);
           Alcotest.(check bool)
@@ -558,6 +601,8 @@ let suite =
         test_log_reasons_roundtrip;
       Alcotest.test_case "the log grows by the delta only" `Quick
         test_log_grows_by_delta;
+      Alcotest.test_case "only real saves are traced" `Quick
+        test_trace_records_only_real_saves;
       Alcotest.test_case "text-era checkpoint resumes as binary" `Quick
         test_text_era_checkpoint_resumes;
       Alcotest.test_case "concurrent ticks log every entry once" `Quick

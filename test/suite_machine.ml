@@ -105,6 +105,34 @@ let price_bits price ~program regions cvs =
         regions)
     Platform.all
 
+(* [Quirk.region_factor] as a pricing function by region name, for the
+   regions of [p]; [~program] is [p]'s name. *)
+let by_position (p : Program.t) ~platform ~program:_ ~region cv =
+  let rec index i = function
+    | [] -> invalid_arg ("by_position: no region " ^ region)
+    | (l : Loop.t) :: rest ->
+        if String.equal l.Loop.name region then i else index (i + 1) rest
+  in
+  Quirk.region_factor
+    (Quirk.regions ~platform p)
+    (index 0 (p.Program.nonloop :: p.Program.loops))
+    cv
+
+(* Two domains start together on [price], so they race on every table
+   and entry no one has built before. *)
+let race_bits price ~program regions cvs =
+  let ready = Atomic.make 0 in
+  let race () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    price_bits price ~program regions cvs
+  in
+  let other = Domain.spawn race in
+  let here = race () in
+  (here, Domain.join other)
+
 let test_quirk_is_in_order_product () =
   let rng = Ft_util.Rng.create 43 in
   let cvs =
@@ -116,31 +144,47 @@ let test_quirk_is_in_order_product () =
       (fun (l : Loop.t) -> l.Loop.name)
       (program.Program.nonloop :: program.Program.loops)
   in
-  let program = program.Program.name in
+  let suite = program in
+  let program = suite.Program.name in
+  let reference = price_bits reference_factor ~program regions cvs in
   Alcotest.(check (list int64))
-    "suite regions: bit-identical to the in-order product"
-    (price_bits reference_factor ~program regions cvs)
+    "suite regions: bit-identical to the in-order product" reference
     (price_bits Quirk.factor ~program regions cvs);
-  (* Two domains start together on regions no one has priced before, so
-     they race to build (and read) the same tables. *)
+  Alcotest.(check (list int64))
+    "suite regions by position: bit-identical to the in-order product"
+    reference
+    (price_bits (by_position suite) ~program regions cvs);
+  (* Regions no one has priced before: both domains race to build (and
+     read) the same tables. *)
   let program = "quirk-race" in
   let fresh = List.init 24 (fun i -> Printf.sprintf "unseen-%d" i) in
-  let ready = Atomic.make 0 in
-  let race () =
-    Atomic.incr ready;
-    while Atomic.get ready < 2 do
-      Domain.cpu_relax ()
-    done;
-    price_bits Quirk.factor ~program fresh cvs
-  in
-  let other = Domain.spawn race in
-  let here = race () in
-  let there = Domain.join other in
+  let here, there = race_bits Quirk.factor ~program fresh cvs in
   let reference = price_bits reference_factor ~program fresh cvs in
   Alcotest.(check (list int64)) "concurrent first use: this domain"
     reference here;
   Alcotest.(check (list int64)) "concurrent first use: the other domain"
-    reference there
+    reference there;
+  (* A program no one has priced before, by position: both domains race
+     to build its region tables and to add its entry. *)
+  let fresh =
+    Program.make ~name:"quirk-race-regions" ~language:Program.C ~loc:1
+      ~domain:"d" ~reference_size:1.0
+      ~nonloop:(Loop.make "<nl>" Feature.default)
+      (List.init 23 (fun i ->
+           Loop.make (Printf.sprintf "unseen-%d" i) Feature.default))
+  in
+  let program = fresh.Program.name in
+  let names =
+    List.map
+      (fun (l : Loop.t) -> l.Loop.name)
+      (fresh.Program.nonloop :: fresh.Program.loops)
+  in
+  let here, there = race_bits (by_position fresh) ~program names cvs in
+  let reference = price_bits reference_factor ~program names cvs in
+  Alcotest.(check (list int64))
+    "concurrent first use by position: this domain" reference here;
+  Alcotest.(check (list int64))
+    "concurrent first use by position: the other domain" reference there
 
 (* --- Exec: determinism and structure ------------------------------------ *)
 
@@ -315,6 +359,61 @@ let prop_measure_positive =
       let binary = Toolchain.compile_uniform toolchain ~cv program in
       (Exec.measure ~arch:bdw ~input ~rng binary).Exec.elapsed_s > 0.0)
 
+(* --- summary bits ------------------------------------------------------ *)
+
+(* Compilation, the link-time perturbation, the quirk tables and the
+   evaluation are pure, so one digest over the exact bits of many
+   summaries witnesses all of them at once.  It covers every (program,
+   platform) pair of the suite, 20 random per-module assignments each
+   (mixed CVs, so the link-time optimizer perturbs most of them; every
+   fourth instrumented).  The pinned digest was taken from an earlier
+   implementation that looked each region's CV and quirk table up by
+   name, so it checks the position-indexed path independently. *)
+let test_summary_bits_pinned () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun platform ->
+      let toolchain = Toolchain.make platform in
+      List.iter
+        (fun (program : Program.t) ->
+          let input = Ft_suite.Suite.tuning_input platform program in
+          let outline =
+            Ft_outline.Outline.outline ~toolchain ~program ~input
+              ~rng:(Ft_util.Rng.create 11) ()
+          in
+          let modules = Ft_outline.Outline.module_names outline in
+          let rng =
+            Ft_util.Rng.create
+              (Ft_util.Rng.hash_strings
+                 [ program.Program.name; ":"; Platform.short_name platform ])
+          in
+          let pool = Ft_flags.Space.sample_pool rng 12 in
+          for i = 0 to 19 do
+            let assignment =
+              List.map (fun m -> (m, Ft_util.Rng.choose rng pool)) modules
+            in
+            let binary =
+              Ft_outline.Outline.compile ~toolchain outline
+                ~assignment:(fun m -> List.assoc m assignment)
+                ~instrumented:(i mod 4 = 0) ()
+            in
+            let s =
+              Exec.summarize
+                (Exec.evaluate ~arch:toolchain.Toolchain.arch ~input binary)
+            in
+            Printf.bprintf buf "%s %s %d %h %h" program.Program.name
+              (Platform.short_name platform) i s.Exec.sum_total_s
+              s.Exec.sum_nonloop_s;
+            List.iter
+              (fun (name, t) -> Printf.bprintf buf " %s=%h" name t)
+              s.Exec.sum_loops;
+            Buffer.add_char buf '\n'
+          done)
+        Ft_suite.Suite.all)
+    Platform.all;
+  Alcotest.(check string) "digest of 420 summaries" "687c94fb6fccc1896c6b5c2c38eb928f"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   ( "machine",
     [
@@ -350,4 +449,5 @@ let suite =
       Alcotest.test_case "explain names" `Quick test_explain_boundedness_names;
       Alcotest.test_case "explain render" `Quick test_explain_render;
       QCheck_alcotest.to_alcotest prop_measure_positive;
+      Alcotest.test_case "summary bits pinned" `Quick test_summary_bits_pinned;
     ] )
