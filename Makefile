@@ -179,14 +179,18 @@ smoke-adaptive: build
 # Tuning-service smoke (see DESIGN.md section 13):
 #   1. a daemon comes up and a served result is byte-identical to the
 #      result block of a solo `funcy tune` with the same spec;
-#   2. a zipfian loadgen burst completes with zero protocol errors and
+#   2. a request whose deadline lapses mid-search cancels that search:
+#      the same spec sent again without a deadline is searched afresh,
+#      its bytes equal the solo `funcy tune` result block, and the
+#      daemon's stats count one cancelled group;
+#   3. a zipfian loadgen burst completes with zero protocol errors and
 #      zero byte divergence (loadgen exits 1 otherwise);
-#   3. a protocol shutdown drains the daemon cleanly (exit 0), and
+#   4. a protocol shutdown drains the daemon cleanly (exit 0), and
 #      `funcy report` renders the server section from its trace;
-#   4. a second --jobs 2 daemon, whose pool keeps a parked helper domain
+#   5. a second --jobs 2 daemon, whose pool keeps a parked helper domain
 #      between searches, serves one search and drains on SIGTERM (exit 0
 #      within 10 s).  One shell line, so `$!` and `wait` see its pid;
-#   5. that daemon runs each search on its own --state-dir engine, and its
+#   6. that daemon runs each search on its own --state-dir engine, and its
 #      --stats builds/runs/cache lines equal the counters `funcy report`
 #      re-counts from its trace.
 smoke-serve: build
@@ -201,6 +205,17 @@ smoke-serve: build
 	sed -n '/^CFR: speedup/,$$p' _build/smoke-serve-solo.out \
 	  > _build/smoke-serve-solo-block.out
 	cmp _build/smoke-serve-client.out _build/smoke-serve-solo-block.out
+	! $(FUNCY) client -s _build/smoke-serve.sock --quiet -b cl -a cfr \
+	  --seed 9 -k 1000 --deadline-ms 15 > /dev/null \
+	  2> _build/smoke-serve-cancel.err
+	grep -q deadline_exceeded _build/smoke-serve-cancel.err
+	$(FUNCY) client -s _build/smoke-serve.sock --quiet -b cl -a cfr \
+	  --seed 9 -k 1000 > _build/smoke-serve-cancel.out
+	$(FUNCY) tune -b cl -a cfr --seed 9 -k 1000 \
+	  | sed -n '/^CFR: speedup/,$$p' > _build/smoke-serve-cancel-solo.out
+	cmp _build/smoke-serve-cancel.out _build/smoke-serve-cancel-solo.out
+	$(FUNCY) client -s _build/smoke-serve.sock --stats \
+	  | grep -Eq '^cancelled +1$$'
 	$(FUNCY) loadgen -s _build/smoke-serve.sock --clients 120 --zipf 1.1 \
 	  > _build/smoke-serve-loadgen.out
 	$(FUNCY) client -s _build/smoke-serve.sock --shutdown > /dev/null
@@ -220,14 +235,15 @@ smoke-serve: build
 	  for i in `seq 1 100`; do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
 	  if kill -0 $$pid 2>/dev/null; then kill -KILL $$pid; exit 1; fi; \
 	  wait $$pid
-	sed -n '/^engine telemetry:/,$$p' _build/smoke-serve-term.out \
+	sed -n '/^engine telemetry:/,/^funcy serve: drained/p' \
+	  _build/smoke-serve-term.out \
 	  | grep -E '^  (builds|runs|cache) ' > _build/smoke-serve-term-stats.out
 	$(FUNCY) report _build/smoke-serve-term.jsonl \
 	  | sed -n '/^Derived engine counters:/,$$p' \
 	  | grep -E '^  (builds|runs|cache) ' > _build/smoke-serve-term-report.out
 	grep -Eq '^  builds +[1-9]' _build/smoke-serve-term-stats.out
 	cmp _build/smoke-serve-term-stats.out _build/smoke-serve-term-report.out
-	@echo "smoke-serve OK: served bytes = solo bytes, loadgen clean, drained on shutdown and on SIGTERM, --stats = report"
+	@echo "smoke-serve OK: served bytes = solo bytes, a lapsed deadline cancels its search, loadgen clean, drained on shutdown and on SIGTERM, --stats = report"
 
 # Crash-recovery smoke (see DESIGN.md section 14): a supervised daemon
 # with a durable journal SIGKILLs itself (chaos hook) after every 5th

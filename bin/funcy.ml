@@ -367,7 +367,7 @@ let arm_die_after engine ?(on_die = fun () -> ()) = function
   | None -> ()
   | Some n ->
       Ft_obs.Telemetry.set_progress (Engine.telemetry engine)
-        (fun ~completed ~expected:_ ->
+        (fun ~completed ->
           if completed >= n then begin
             Engine.flush_checkpoint engine;
             on_die ();
@@ -677,6 +677,7 @@ let selfcheck_cmd =
   let algos =
     [
       ("cfr", `Cfr);
+      ("cfr-adaptive", `Adaptive);
       ("fr", `Fr);
       ("random", `Random);
       ("adaptive-sh", `AdaptiveSh);
@@ -688,8 +689,8 @@ let selfcheck_cmd =
       & opt_all (enum algos) []
       & info [ "a"; "algorithm" ] ~docv:"ALGO"
           ~doc:
-            "Search to check: cfr, fr, random or adaptive-sh (repeatable; \
-             default: all four).")
+            "Search to check: cfr, cfr-adaptive, fr, random or adaptive-sh \
+             (repeatable; default: all five).")
   in
   let kill_at_t =
     Arg.(
@@ -758,21 +759,13 @@ let selfcheck_cmd =
     let policy = policy_of_resilience resilience in
     let input = Ft_suite.Suite.tuning_input platform program in
     let algos_selected =
-      match algos_selected with
-      | [] -> [ `Cfr; `Fr; `Random; `AdaptiveSh ]
-      | l -> l
+      match algos_selected with [] -> List.map snd algos | l -> l
     in
     with_scratch_dir @@ fun scratch ->
     let failures =
       List.filter
         (fun algo ->
-          let name =
-            match algo with
-            | `Cfr -> "cfr"
-            | `Fr -> "fr"
-            | `Random -> "random"
-            | `AdaptiveSh -> "adaptive-sh"
-          in
+          let name = fst (List.find (fun (_, a) -> a = algo) algos) in
           let label =
             Printf.sprintf "%s (%s on %s, seed %d, jobs %d, backend %s)" name
               program.Program.name
@@ -792,6 +785,9 @@ let selfcheck_cmd =
             render_result_exact
               (match algo with
               | `Cfr -> Tuner.run_cfr session
+              | `Adaptive ->
+                  Funcytuner.Adaptive.run session.Tuner.ctx
+                    (Lazy.force session.Tuner.collection)
               | `Fr -> Funcytuner.Fr.run session.Tuner.ctx session.Tuner.outline
               | `Random -> Funcytuner.Random_search.run session.Tuner.ctx
               | `AdaptiveSh ->
@@ -1225,7 +1221,10 @@ let client_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Instead of tuning, print the daemon's lifetime counters.")
+          ~doc:
+            "Instead of tuning, print the daemon's live counters (engine \
+             and requests, as $(b,funcy report) re-counts them from a \
+             trace), then its gauges: queue_depth, restarts, poisoned.")
   in
   let shutdown_t =
     Arg.(

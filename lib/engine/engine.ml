@@ -576,8 +576,22 @@ let try_measure_in t c job =
     ~elapsed_s:(elapsed outcome);
   outcome
 
+(* One job, then one progress tick, also when the job raised.  The tick
+   runs after the job rather than in a [finally]: a progress callback may
+   raise a fatal exception (a server cancelling the search), which must
+   reach the pool as itself, not wrapped as [Fun.Finally_raised]. *)
+let measure_and_tick t c job =
+  match try_measure_in t c job with
+  | outcome ->
+      Telemetry.tick t.telemetry;
+      outcome
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Telemetry.tick t.telemetry;
+      Printexc.raise_with_backtrace e bt
+
 let try_measure_one t ~toolchain ?outline ~program ~input job =
-  try_measure_in t (resolve ~toolchain ?outline ~program ~input ()) job
+  measure_and_tick t (resolve ~toolchain ?outline ~program ~input ()) job
 
 let measure_one t ~toolchain ?outline ~program ~input job =
   match try_measure_one t ~toolchain ?outline ~program ~input job with
@@ -658,7 +672,6 @@ let merge_delta t d =
    converges to the uninterrupted result. *)
 let forked_outcomes t c jobs_array =
   let n = Array.length jobs_array in
-  Telemetry.expect t.telemetry n;
   let batch = Trace.batch t.trace ~size:n in
   let outcomes = Array.make n None in
   let workers =
@@ -724,16 +737,12 @@ let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   match t.backend with
   | Backend.Processes | Backend.Sharded -> forked_outcomes t c jobs_array
   | Backend.Domains ->
-      Telemetry.expect t.telemetry (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in
       (try
          Pool.map_result ~jobs:t.jobs
            (fun (i, job) ->
              Trace.in_job t.trace ~batch ~index:i (fun () ->
-                 Fun.protect
-                   ~finally:(fun () -> Telemetry.tick t.telemetry)
-                   (fun () ->
-                     try_measure_in t c job)))
+                 measure_and_tick t c job))
            (Array.mapi (fun i job -> (i, job)) jobs_array)
        with
       (* A fatal exception (cancellation, runtime collapse) must surface

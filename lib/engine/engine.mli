@@ -227,7 +227,8 @@ val try_measure_one :
   job_outcome
 (** Outcome-typed version of {!measure_one}: quarantine lookup, per-module
     ICE check, retry/backoff loop, output validation and robust repeat
-    aggregation, never raising for an injected fault. *)
+    aggregation, never raising for an injected fault.  Ticks progress
+    once, as a batch does per job. *)
 
 val try_measure_batch :
   t ->

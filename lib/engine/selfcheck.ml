@@ -141,7 +141,7 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
         ~checkpoint:None ~trace:None
     in
     Telemetry.set_progress (Engine.telemetry doomed)
-      (fun ~completed ~expected:_ ->
+      (fun ~completed ->
         if completed = n then
           ignore
             (Checkpoint.flush ck ~cache:(Engine.cache doomed)

@@ -167,21 +167,9 @@ let fields = function
       ]
 
 let of_json json =
-  let str field =
-    match Option.bind (Json.member field json) Json.to_str with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing string field '%s'" field)
-  in
-  let int field =
-    match Option.bind (Json.member field json) Json.to_int with
-    | Some n -> Ok n
-    | None -> Error (Printf.sprintf "missing int field '%s'" field)
-  in
-  let num field =
-    match Option.bind (Json.member field json) Json.to_float with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing number field '%s'" field)
-  in
+  let str = Json.string_field json
+  and int = Json.int_field json
+  and num = Json.number_field json in
   let phase field =
     match str field with
     | Error _ as e -> e

@@ -242,3 +242,14 @@ let to_float = function
   | _ -> None
 
 let to_str = function String s -> Some s | _ -> None
+
+(* The field readers every decoder shares, with one wording of what is
+   missing. *)
+let field of_value kind json name =
+  match Option.bind (member name json) of_value with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing %s field '%s'" kind name)
+
+let string_field json name = field to_str "string" json name
+let int_field json name = field to_int "int" json name
+let number_field json name = field to_float "number" json name

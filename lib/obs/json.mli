@@ -41,3 +41,14 @@ val to_float : t -> float option
 
 val to_str : t -> string option
 (** [String s] as [Some s]. *)
+
+val string_field : t -> string -> (string, string) result
+(** [string_field json name]: {!member} [name] of [json] as a string, or
+    [Error "missing string field 'name'"]. *)
+
+val int_field : t -> string -> (int, string) result
+(** As {!string_field} for an [Int] (["missing int field ..."]). *)
+
+val number_field : t -> string -> (float, string) result
+(** As {!string_field} for an [Int] or a [Float] (["missing number field
+    ..."]). *)

@@ -308,130 +308,70 @@ let render_prune buf t =
 (* --- server section ---------------------------------------------------- *)
 
 (* A server trace interleaves request-lifecycle events with the engine
-   events of every search it ran; this section derives the service-level
-   story: admission, single-flight coalescing, result-cache hits, typed
-   rejections, per-tenant traffic, and group shapes. *)
-let render_serve buf t =
-  let events = List.map (fun e -> e.event) t.entries in
-  let count p = List.length (List.filter p events) in
-  let received =
-    count (function Event.Request_received _ -> true | _ -> false)
-  in
-  if received > 0 then begin
-    let admitted =
-      count (function Event.Request_admitted _ -> true | _ -> false)
+   events of every search it ran.  Every count here is a counter of the
+   re-counted snapshot, the one the daemon's [stats] reply reads; the
+   events add only what no counter holds: the tenants and rejection
+   reasons seen, the recovery gauges, and the groups' shapes. *)
+let render_serve buf (c : Telemetry.snapshot) events =
+  if c.received + c.rejected + c.replayed > 0 then begin
+    let distinct f = List.sort_uniq compare (List.filter_map f events) in
+    let tenants =
+      distinct (function
+        | Event.Request_received { tenant; _ } -> Some tenant
+        | _ -> None)
     in
-    let coalesced =
-      count (function Event.Request_coalesced _ -> true | _ -> false)
+    let reasons =
+      distinct (function
+        | Event.Request_rejected { reason; _ } -> Some reason
+        | _ -> None)
     in
-    let cached = count (function Event.Request_cached _ -> true | _ -> false) in
-    let rejections =
-      List.filter_map
-        (function Event.Request_rejected { reason; _ } -> Some reason | _ -> None)
-        events
-    in
-    let groups =
-      List.filter_map
-        (function
-          | Event.Group_finished { members; run_s; _ } -> Some (members, run_s)
-          | _ -> None)
-        events
-    in
-    let cancelled =
-      count (function Event.Group_cancelled _ -> true | _ -> false)
-    in
-    let expired =
-      count (function Event.Request_expired _ -> true | _ -> false)
-    in
-    let replays =
-      count (function Event.Request_replayed _ -> true | _ -> false)
-    in
-    (* One Server_recovered per boot; the last one carries the totals. *)
+    (* One Server_recovered per boot; the last one carries the gauges. *)
     let recovery =
       List.fold_left
         (fun acc -> function
-          | Event.Server_recovered { restarts; replayed; poisoned } ->
-              Some (restarts, replayed, poisoned)
+          | Event.Server_recovered { restarts; poisoned; _ } ->
+              Some (restarts, poisoned)
           | _ -> acc)
         None events
     in
-    let tenants = Hashtbl.create 8 in
-    let tenant_order = ref [] in
-    List.iter
-      (function
-        | Event.Request_received { tenant; _ } ->
-            (match Hashtbl.find_opt tenants tenant with
-            | Some n -> Hashtbl.replace tenants tenant (n + 1)
-            | None ->
-                Hashtbl.add tenants tenant 1;
-                tenant_order := tenant :: !tenant_order)
-        | _ -> ())
-      events;
-    section buf "Server requests:";
-    let pct n d =
-      if d = 0 then 0.0 else 100.0 *. float_of_int n /. float_of_int d
+    let sizes, run_s =
+      List.fold_left
+        (fun ((sizes, run_s) as acc) -> function
+          | Event.Group_finished { members; run_s = s; _ } ->
+              (members :: sizes, run_s +. s)
+          | _ -> acc)
+        ([], 0.0) events
     in
-    Buffer.add_string buf
-      (Printf.sprintf "  received    %d (from %d tenants)\n" received
-         (Hashtbl.length tenants));
-    Buffer.add_string buf
-      (Printf.sprintf "  admitted    %d fresh searches\n" admitted);
-    Buffer.add_string buf
-      (Printf.sprintf "  coalesced   %d (%.1f%% of received — single-flight)\n"
-         coalesced (pct coalesced received));
-    Buffer.add_string buf
-      (Printf.sprintf "  result-cache hits  %d (%.1f%%)\n" cached
-         (pct cached received));
-    (match recovery with
-    | Some (restarts, replayed, poisoned) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "  recovery    %d restarts, %d requests replayed, %d poisoned specs\n"
-             restarts
-             (max replayed replays)
-             poisoned)
-    | None ->
-        if replays > 0 then
-          Buffer.add_string buf
-            (Printf.sprintf "  recovery    %d requests replayed\n" replays));
-    if expired > 0 || cancelled > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf "  abandoned   %d expired requests, %d cancelled groups\n"
-           expired cancelled);
-    if rejections <> [] then begin
-      let by_reason = Hashtbl.create 4 in
-      List.iter
-        (fun r ->
-          Hashtbl.replace by_reason r
-            (1 + Option.value ~default:0 (Hashtbl.find_opt by_reason r)))
-        rejections;
-      Buffer.add_string buf
-        (Printf.sprintf "  rejected    %d:\n" (List.length rejections));
-      Hashtbl.fold (fun r n acc -> (r, n) :: acc) by_reason []
-      |> List.sort compare
-      |> List.iter (fun (r, n) ->
-             Buffer.add_string buf (Printf.sprintf "    %-24s %d\n" r n))
-    end;
-    if groups <> [] then begin
-      let members = List.map fst groups in
-      let total_members = List.fold_left ( + ) 0 members in
-      let run_s = List.fold_left (fun a (_, s) -> a +. s) 0.0 groups in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  groups run  %d (mean size %.1f, max %d; %.3f s searching)\n"
-           (List.length groups)
-           (float_of_int total_members /. float_of_int (List.length groups))
-           (List.fold_left max 0 members)
-           run_s)
-    end;
-    let tenant_table = Table.create ~title:"" [ "tenant"; "requests" ] in
-    List.iter
-      (fun tenant ->
-        Table.add_row tenant_table
-          [ tenant; string_of_int (Hashtbl.find tenants tenant) ])
-      (List.rev !tenant_order);
-    Buffer.add_string buf (Table.render tenant_table);
-    Buffer.add_char buf '\n'
+    let line fmt = Printf.bprintf buf fmt in
+    let pct n =
+      if c.received = 0 then 0.0
+      else 100.0 *. float_of_int n /. float_of_int c.received
+    in
+    section buf "Server requests:";
+    line "  received    %d (from %d tenants)\n" c.received (List.length tenants);
+    line "  admitted    %d fresh searches\n" c.admitted;
+    line "  coalesced   %d (%.1f%% of received — single-flight)\n" c.coalesced
+      (pct c.coalesced);
+    line "  result-cache hits  %d (%.1f%%)\n" c.memoized (pct c.memoized);
+    Option.iter
+      (fun (restarts, poisoned) ->
+        line "  recovery    %d restarts, %d requests replayed, %d poisoned specs\n"
+          restarts c.replayed poisoned)
+      recovery;
+    if c.expired > 0 || c.cancelled > 0 then
+      line "  abandoned   %d expired requests, %d cancelled groups\n" c.expired
+        c.cancelled;
+    if c.rejected > 0 then
+      line "  rejected    %d (%s)\n" c.rejected (String.concat "; " reasons);
+    if c.groups_completed > 0 then
+      line "  groups run  %d (mean size %.1f, max %d; %.3f s searching)\n"
+        c.groups_completed
+        (float_of_int (List.fold_left ( + ) 0 sizes)
+        /. float_of_int c.groups_completed)
+        (List.fold_left max 0 sizes)
+        run_s;
+    if tenants <> [] then
+      line "  tenants     %s\n" (String.concat ", " tenants)
   end
 
 let render_counters buf (c : Telemetry.snapshot) =
@@ -463,7 +403,7 @@ let render t =
   Buffer.add_string buf
     (Printf.sprintf "trace: %d events, clock=%s%s\n" (List.length t.entries)
        t.clock span_s);
-  render_serve buf t;
+  render_serve buf c events;
   render_phases buf t;
   render_cache buf events;
   render_convergence buf t;

@@ -4,6 +4,9 @@
     A report is computed purely from a JSONL trace file ({!Export}), so a
     run can be analyzed on a different machine, long after the fact:
 
+    - for a daemon's trace, its request counters — the counters of its
+      [stats] reply, re-counted — with the tenants and rejection reasons
+      seen, the recovery gauges and the search groups' shapes;
     - per-phase breakdown (events, jobs, faults and — for wall-clock
       traces — seconds per Algorithm-1 phase);
     - cache hit-rate over time (from the hit/miss split, or re-derived

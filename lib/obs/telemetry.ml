@@ -12,6 +12,15 @@ type snapshot = {
   outliers : int;
   quarantined : int;
   quarantine_hits : int;
+  received : int;
+  admitted : int;
+  coalesced : int;
+  memoized : int;
+  rejected : int;
+  groups_completed : int;
+  expired : int;
+  cancelled : int;
+  replayed : int;
   timers : (string * float) list;
 }
 
@@ -29,11 +38,20 @@ type t = {
   outliers : int Atomic.t;
   quarantined : int Atomic.t;
   quarantine_hits : int Atomic.t;
+  received : int Atomic.t;
+  admitted : int Atomic.t;
+  coalesced : int Atomic.t;
+  memoized : int Atomic.t;
+  rejected : int Atomic.t;
+  groups_completed : int Atomic.t;
+  expired : int Atomic.t;
+  cancelled : int Atomic.t;
+  replayed : int Atomic.t;
   completed : int Atomic.t;
-  expected : int Atomic.t;
   timers : (string, float) Hashtbl.t;
-  lock : Mutex.t;
-  mutable progress : (completed:int -> expected:int -> unit) option;
+  lock : Mutex.t;  (* guards [timers] only: a progress callback may read them *)
+  ticking : Mutex.t;  (* serializes progress callbacks *)
+  mutable progress : (completed:int -> unit) option;
 }
 
 let create () =
@@ -51,10 +69,19 @@ let create () =
     outliers = Atomic.make 0;
     quarantined = Atomic.make 0;
     quarantine_hits = Atomic.make 0;
+    received = Atomic.make 0;
+    admitted = Atomic.make 0;
+    coalesced = Atomic.make 0;
+    memoized = Atomic.make 0;
+    rejected = Atomic.make 0;
+    groups_completed = Atomic.make 0;
+    expired = Atomic.make 0;
+    cancelled = Atomic.make 0;
+    replayed = Atomic.make 0;
     completed = Atomic.make 0;
-    expected = Atomic.make 0;
     timers = Hashtbl.create 8;
     lock = Mutex.create ();
+    ticking = Mutex.create ();
     progress = None;
   }
 
@@ -67,7 +94,9 @@ let time t phase f =
   let t0 = Ft_util.Clock.now () in
   Fun.protect ~finally:(fun () -> add_time t phase (Ft_util.Clock.now () -. t0)) f
 
-(* The one counting rule: which counter, if any, an event moves. *)
+(* The one counting rule: which counter, if any, an event moves.  Engine
+   and daemon alike; every integer counter is an atomic, because the
+   daemon reports requests from inside a progress callback. *)
 let count t = function
   | Event.Cache_hit _ -> Atomic.incr t.cache_hits
   | Event.Cache_miss _ -> Atomic.incr t.cache_misses
@@ -83,6 +112,15 @@ let count t = function
   | Event.Outlier _ -> Atomic.incr t.outliers
   | Event.Quarantine_added _ -> Atomic.incr t.quarantined
   | Event.Quarantine_hit _ -> Atomic.incr t.quarantine_hits
+  | Event.Request_received _ -> Atomic.incr t.received
+  | Event.Request_admitted _ -> Atomic.incr t.admitted
+  | Event.Request_coalesced _ -> Atomic.incr t.coalesced
+  | Event.Request_cached _ -> Atomic.incr t.memoized
+  | Event.Request_rejected _ -> Atomic.incr t.rejected
+  | Event.Group_finished _ -> Atomic.incr t.groups_completed
+  | Event.Request_expired _ -> Atomic.incr t.expired
+  | Event.Group_cancelled _ -> Atomic.incr t.cancelled
+  | Event.Request_replayed _ -> Atomic.incr t.replayed
   | Event.Timer { name; seconds } -> add_time t name seconds
   | _ -> ()
 
@@ -93,8 +131,6 @@ let of_events events =
 
 let set_progress t callback = t.progress <- Some callback
 
-let expect t n = ignore (Atomic.fetch_and_add t.expected n)
-
 let completed t = Atomic.get t.completed
 
 let tick t =
@@ -104,8 +140,7 @@ let tick t =
   | Some callback ->
       (* Callbacks run from worker domains; serialize them so user code
          (typically terminal output) never interleaves. *)
-      Mutex.protect t.lock (fun () ->
-          callback ~completed ~expected:(Atomic.get t.expected))
+      Mutex.protect t.ticking (fun () -> callback ~completed)
 
 let snapshot t =
   {
@@ -122,6 +157,15 @@ let snapshot t =
     outliers = Atomic.get t.outliers;
     quarantined = Atomic.get t.quarantined;
     quarantine_hits = Atomic.get t.quarantine_hits;
+    received = Atomic.get t.received;
+    admitted = Atomic.get t.admitted;
+    coalesced = Atomic.get t.coalesced;
+    memoized = Atomic.get t.memoized;
+    rejected = Atomic.get t.rejected;
+    groups_completed = Atomic.get t.groups_completed;
+    expired = Atomic.get t.expired;
+    cancelled = Atomic.get t.cancelled;
+    replayed = Atomic.get t.replayed;
     timers =
       Mutex.protect t.lock (fun () ->
           Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.timers []
@@ -147,7 +191,42 @@ let absorb t (s : snapshot) =
   addc t.outliers s.outliers;
   addc t.quarantined s.quarantined;
   addc t.quarantine_hits s.quarantine_hits;
+  addc t.received s.received;
+  addc t.admitted s.admitted;
+  addc t.coalesced s.coalesced;
+  addc t.memoized s.memoized;
+  addc t.rejected s.rejected;
+  addc t.groups_completed s.groups_completed;
+  addc t.expired s.expired;
+  addc t.cancelled s.cancelled;
+  addc t.replayed s.replayed;
   List.iter (fun (phase, seconds) -> add_time t phase seconds) s.timers
+
+let counters (s : snapshot) =
+  [
+    ("builds", s.builds);
+    ("runs", s.runs);
+    ("cache_hits", s.cache_hits);
+    ("cache_misses", s.cache_misses);
+    ("retries", s.retries);
+    ("build_failures", s.build_failures);
+    ("crashes", s.crashes);
+    ("wrong_answers", s.wrong_answers);
+    ("timeouts", s.timeouts);
+    ("worker_crashes", s.worker_crashes);
+    ("outliers", s.outliers);
+    ("quarantined", s.quarantined);
+    ("quarantine_hits", s.quarantine_hits);
+    ("received", s.received);
+    ("admitted", s.admitted);
+    ("coalesced", s.coalesced);
+    ("memoized", s.memoized);
+    ("rejected", s.rejected);
+    ("groups_completed", s.groups_completed);
+    ("expired", s.expired);
+    ("cancelled", s.cancelled);
+    ("replayed", s.replayed);
+  ]
 
 let faults (s : snapshot) =
   s.build_failures + s.crashes + s.wrong_answers + s.timeouts

@@ -59,20 +59,9 @@ let record_to_json = function
 
 let ( let* ) = Result.bind
 
-let str json field =
-  match Option.bind (Json.member field json) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field '%s'" field)
-
-let int json field =
-  match Option.bind (Json.member field json) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "missing int field '%s'" field)
-
-let num json field =
-  match Option.bind (Json.member field json) Json.to_float with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "missing number field '%s'" field)
+let str = Json.string_field
+let int = Json.int_field
+let num = Json.number_field
 
 let record_of_json json =
   let* kind = str json "kind" in

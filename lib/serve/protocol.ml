@@ -170,21 +170,10 @@ let response_to_json = function
 
 let ( let* ) = Result.bind
 
-let str json field =
-  match Option.bind (Json.member field json) Json.to_str with
-  | Some s -> Ok s
-  | None -> Error (Malformed_frame (Printf.sprintf "missing string field '%s'" field))
-
-let int json field =
-  match Option.bind (Json.member field json) Json.to_int with
-  | Some n -> Ok n
-  | None -> Error (Malformed_frame (Printf.sprintf "missing int field '%s'" field))
-
-let num json field =
-  match Option.bind (Json.member field json) Json.to_float with
-  | Some f -> Ok f
-  | None ->
-      Error (Malformed_frame (Printf.sprintf "missing number field '%s'" field))
+let malformed r = Result.map_error (fun reason -> Malformed_frame reason) r
+let str json field = malformed (Json.string_field json field)
+let int json field = malformed (Json.int_field json field)
+let num json field = malformed (Json.number_field json field)
 
 (* Version gate shared by both directions: absent ⇒ malformed (the peer
    is not speaking this protocol at all), present-but-unknown ⇒ the

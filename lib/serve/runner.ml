@@ -65,9 +65,9 @@ let search ~engine (spec : Protocol.tune_spec) =
    sees a real crash and a cancellation unwinds to its catcher. *)
 let run_search ~engine spec ~tick =
   let telemetry = Engine.telemetry engine in
-  Telemetry.set_progress telemetry (fun ~completed:_ ~expected:_ -> tick ());
+  Telemetry.set_progress telemetry (fun ~completed:_ -> tick ());
   Fun.protect ~finally:(fun () ->
-      Telemetry.set_progress telemetry (fun ~completed:_ ~expected:_ -> ()))
+      Telemetry.set_progress telemetry (fun ~completed:_ -> ()))
   @@ fun () ->
   match search ~engine spec with
   | result ->

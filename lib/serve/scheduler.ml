@@ -25,14 +25,6 @@ type 'a t = {
   memo : (string, outcome) Hashtbl.t;
   mutable is_draining : bool;
   mutable waiting : int;
-  mutable received : int;
-  mutable admitted : int;
-  mutable coalesced : int;
-  mutable memoized : int;
-  mutable rejected : int;
-  mutable completed : int;
-  mutable expired : int;
-  mutable cancelled : int;
 }
 
 let create ~max_queue =
@@ -47,14 +39,6 @@ let create ~max_queue =
     memo = Hashtbl.create 64;
     is_draining = false;
     waiting = 0;
-    received = 0;
-    admitted = 0;
-    coalesced = 0;
-    memoized = 0;
-    rejected = 0;
-    completed = 0;
-    expired = 0;
-    cancelled = 0;
   }
 
 type verdict =
@@ -73,25 +57,18 @@ let tenant_queue t tenant =
       q
 
 let submit t ~spec ~fingerprint member =
-  t.received <- t.received + 1;
-  if t.is_draining then (
-    t.rejected <- t.rejected + 1;
-    Refused Protocol.Draining)
+  if t.is_draining then Refused Protocol.Draining
   else
     match Hashtbl.find_opt t.memo fingerprint with
-    | Some outcome ->
-        t.memoized <- t.memoized + 1;
-        Memoized outcome
+    | Some outcome -> Memoized outcome
     | None ->
-        if t.waiting >= t.max_queue then (
-          t.rejected <- t.rejected + 1;
-          Refused (Protocol.Queue_full { limit = t.max_queue }))
+        if t.waiting >= t.max_queue then
+          Refused (Protocol.Queue_full { limit = t.max_queue })
         else (
           t.waiting <- t.waiting + 1;
           match Hashtbl.find_opt t.groups fingerprint with
           | Some group ->
               group.members_rev <- member :: group.members_rev;
-              t.coalesced <- t.coalesced + 1;
               Joined { leader = group.leader }
           | None ->
               Hashtbl.replace t.groups fingerprint
@@ -102,13 +79,7 @@ let submit t ~spec ~fingerprint member =
                   members_rev = [ member ];
                 };
               Queue.push fingerprint (tenant_queue t member.tenant);
-              t.admitted <- t.admitted + 1;
               Fresh)
-
-let refuse t reason =
-  t.received <- t.received + 1;
-  t.rejected <- t.rejected + 1;
-  Refused reason
 
 let remember t ~fingerprint outcome = Hashtbl.replace t.memo fingerprint outcome
 let known t ~fingerprint = Hashtbl.find_opt t.memo fingerprint
@@ -158,9 +129,10 @@ let take_members t fingerprint =
 
 let complete t ~fingerprint outcome =
   Hashtbl.replace t.memo fingerprint outcome;
-  t.completed <- t.completed + 1;
   take_members t fingerprint
 
+(* No memo entry: an error is not a result, and an abandoned search
+   produced none. *)
 let fail t ~fingerprint = take_members t fingerprint
 
 (* Sweep every group for members whose deadline has passed, removing
@@ -181,19 +153,11 @@ let expire t ~now =
       if expired <> [] then begin
         group.members_rev <- kept;
         t.waiting <- t.waiting - List.length expired;
-        t.expired <- t.expired + List.length expired;
         List.iter (fun m -> gone := (fp, m) :: !gone) expired;
         if kept = [] && group.state = Queued then Hashtbl.remove t.groups fp
       end)
     (Hashtbl.copy t.groups);
   !gone
-
-(* Abandon a group on purpose (every subscriber disconnected or
-   expired): no memo entry — nobody saw a result — and any stragglers
-   are returned so the server can forget them. *)
-let cancel t ~fingerprint =
-  t.cancelled <- t.cancelled + 1;
-  take_members t fingerprint
 
 let drop_member t ~fingerprint ~id =
   match Hashtbl.find_opt t.groups fingerprint with
@@ -208,19 +172,5 @@ let drop_member t ~fingerprint ~id =
         Hashtbl.remove t.groups fingerprint
 
 let drain t = t.is_draining <- true
-let draining t = t.is_draining
 let queue_depth t = t.waiting
 let idle t = Hashtbl.length t.groups = 0
-
-let counters t =
-  [
-    ("received", t.received);
-    ("admitted", t.admitted);
-    ("coalesced", t.coalesced);
-    ("memoized", t.memoized);
-    ("rejected", t.rejected);
-    ("groups_completed", t.completed);
-    ("queue_depth", t.waiting);
-    ("expired", t.expired);
-    ("cancelled", t.cancelled);
-  ]

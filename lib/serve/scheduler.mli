@@ -3,7 +3,9 @@
     The scheduler is the server's pure core: it never touches sockets,
     which is what makes coalescing and fairness unit-testable without a
     daemon.  Members are tagged with an arbitrary payload (the server
-    uses the client connection; tests use unit).
+    uses the client connection; tests use unit).  It counts nothing:
+    the server reports each verdict as an event that
+    {!Ft_obs.Telemetry.count} counts.
 
     {2 Semantics}
 
@@ -60,11 +62,6 @@ val submit :
     {!fail}; on [Memoized] and [Refused] it is already answered and the
     scheduler retains nothing. *)
 
-val refuse : 'a t -> Protocol.reject_reason -> verdict
-(** Count a rejection the server detected before the scheduler could
-    (validation failure, malformed frame, wrong protocol version), so
-    {!counters} reflects every request seen.  Returns [Refused]. *)
-
 val remember : 'a t -> fingerprint:string -> outcome -> unit
 (** Seed the result memo without a submission — restart recovery feeds
     the journal's durable [completed] outcomes back in, so resubmitted
@@ -89,8 +86,9 @@ val complete : 'a t -> fingerprint:string -> outcome -> 'a member list
     in submission order (leader first).  The group is gone afterwards. *)
 
 val fail : 'a t -> fingerprint:string -> 'a member list
-(** Abort a running group {e without} memoizing (the error is not a
-    result), returning its members for error delivery. *)
+(** Abort a group {e without} memoizing, returning its members: its
+    search failed (the error is not a result), or every subscriber left
+    (nobody saw a result). *)
 
 val expire : 'a t -> now:float -> (string * 'a member) list
 (** Remove every member whose [deadline] is at or before [now], across
@@ -98,12 +96,7 @@ val expire : 'a t -> now:float -> (string * 'a member) list
     can answer each with {!Protocol.Deadline_exceeded}.  Queued groups
     emptied by the sweep are dropped; a {e running} group emptied here
     stays until the server notices ({!members} = [[]]) and calls
-    {!cancel}. *)
-
-val cancel : 'a t -> fingerprint:string -> 'a member list
-(** Abandon a group deliberately (all subscribers disconnected or
-    expired): like {!fail} — no memo entry — but counted as [cancelled]
-    rather than failed. *)
+    {!fail}. *)
 
 val drop_member : 'a t -> fingerprint:string -> id:string -> unit
 (** Forget one waiting member (its client vanished).  A queued group
@@ -113,18 +106,8 @@ val drain : 'a t -> unit
 (** Stop admitting: every later {!submit} is [Refused Draining].
     Queued and running groups still run to completion. *)
 
-val draining : 'a t -> bool
-
 val queue_depth : 'a t -> int
 (** Waiting members right now (the quantity [max_queue] bounds). *)
 
 val idle : 'a t -> bool
 (** No group queued or running. *)
-
-val counters : 'a t -> (string * int) list
-(** Lifetime counters in a fixed, documented order — the payload of
-    {!Protocol.Stats_reply}: [received], [admitted] (fresh groups),
-    [coalesced], [memoized], [rejected], [groups_completed],
-    [queue_depth], [expired] (deadline-swept members), [cancelled]
-    (abandoned groups).  The server appends its own recovery counters
-    ([restarts], [replayed], [poisoned]) after these. *)

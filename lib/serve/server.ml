@@ -43,13 +43,12 @@ type state = {
   config : config;
   runner : Runner.t;
   trace : Trace.t option;
-  telemetry : Telemetry.t option;
+  telemetry : Telemetry.t;
   listener : Unix.file_descr;
   sched : payload Scheduler.t;
   journal : Journal.t option;
   poisoned : (string, int) Hashtbl.t;  (* fingerprint → crash count *)
   mutable restarts : int;  (* prior incarnations (journal boots) *)
-  mutable replayed : int;  (* ghosts re-enqueued at this boot *)
   mutable accepted_this_boot : int;  (* the chaos hook's counter *)
   mutable conns : conn list;
   mutable stop : bool;
@@ -65,17 +64,21 @@ let with_lock st f =
   Mutex.lock st.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.lock) f
 
-let timed st name f =
-  match st.telemetry with None -> f () | Some t -> Telemetry.time t name f
-
 let journal st record =
   match st.journal with None -> () | Some j -> Journal.append j record
 
-let counters st =
-  Scheduler.counters st.sched
+(* Report one event, once: counted by the one rule and recorded by the
+   one primitive, as the engine reports its own. *)
+let note st event =
+  Telemetry.count st.telemetry event;
+  Trace.emit st.trace event
+
+(* The [stats] reply: the live snapshot's counters, then the gauges. *)
+let stats st =
+  Telemetry.counters (Telemetry.snapshot st.telemetry)
   @ [
+      ("queue_depth", Scheduler.queue_depth st.sched);
       ("restarts", st.restarts);
-      ("replayed", st.replayed);
       ("poisoned", Hashtbl.length st.poisoned);
     ]
 
@@ -126,8 +129,7 @@ let answer st (m : payload Scheduler.member) resp =
 (* -- request handling --------------------------------------------------- *)
 
 let reject st conn ~id reason =
-  ignore (Scheduler.refuse st.sched reason);
-  Trace.emit st.trace
+  note st
     (Event.Request_rejected
        { id; reason = Protocol.reject_reason_to_string reason });
   respond_and_close st conn (Protocol.Rejected { id; reason })
@@ -146,7 +148,7 @@ let chaos_tick st =
 
 let handle_tune st conn ~id ~tenant ~deadline_ms spec =
   let fingerprint = Protocol.fingerprint spec in
-  Trace.emit st.trace (Event.Request_received { id; tenant; fingerprint });
+  note st (Event.Request_received { id; tenant; fingerprint });
   (* Scheduler members carry monotonic deadlines (a wall-clock step must
      not expire — or resurrect — queued requests); the journal persists
      the wall-clock equivalent, the only clock that survives a restart. *)
@@ -159,61 +161,55 @@ let handle_tune st conn ~id ~tenant ~deadline_ms spec =
       (fun ms -> Clock.wall () +. (float_of_int ms /. 1000.0))
       deadline_ms
   in
+  (* Write-ahead: the journal knows the request before the client does,
+     so an acknowledged request can always be replayed. *)
+  let accept () =
+    conn.waiting <- Some (fingerprint, id);
+    journal st
+      (Journal.Accepted
+         { id; tenant; fingerprint; spec; deadline = wall_deadline })
+  in
   match Hashtbl.find_opt st.poisoned fingerprint with
   | Some crashes -> reject st conn ~id (Protocol.Poisoned { crashes })
-  | None ->
-      if deadline_ms <> None && Option.get deadline <= now then
-        reject st conn ~id Protocol.Deadline_exceeded
-      else
-        let verdict =
-          match st.runner.Runner.validate spec with
-          | Error msg -> Scheduler.refuse st.sched (Protocol.Unsupported msg)
-          | Ok () ->
-              Scheduler.submit st.sched ~spec ~fingerprint
-                { Scheduler.id; tenant; deadline; payload = Some conn }
-        in
-        (match verdict with
-        | Scheduler.Fresh ->
-            conn.waiting <- Some (fingerprint, id);
-            (* Write-ahead: the journal knows the request before the
-               client does, so an acknowledged request can always be
-               replayed. *)
-            journal st
-              (Journal.Accepted
-                 { id; tenant; fingerprint; spec; deadline = wall_deadline });
-            let queue_depth = Scheduler.queue_depth st.sched in
-            Trace.emit st.trace (Event.Request_admitted { id; queue_depth });
-            ignore (write_resp st conn (Protocol.Admitted { id; queue_depth }));
-            chaos_tick st
-        | Scheduler.Joined { leader } ->
-            conn.waiting <- Some (fingerprint, id);
-            journal st
-              (Journal.Accepted
-                 { id; tenant; fingerprint; spec; deadline = wall_deadline });
-            Trace.emit st.trace (Event.Request_coalesced { id; leader });
-            (if write_resp st conn (Protocol.Coalesced { id; leader }) then
-               if st.running_fp = Some fingerprint then
-                 ignore (write_resp st conn (Protocol.Started { id })));
-            chaos_tick st
-        | Scheduler.Memoized { text; speedup; evaluations } ->
-            Trace.emit st.trace (Event.Request_cached { id });
-            respond_and_close st conn
-              (Protocol.Result
-                 {
-                   id;
-                   fingerprint;
-                   origin = Protocol.Cached;
-                   group_size = 1;
-                   speedup;
-                   evaluations;
-                   run_s = 0.0;
-                   text;
-                 })
-        | Scheduler.Refused reason ->
-            Trace.emit st.trace
-              (Event.Request_rejected
-                 { id; reason = Protocol.reject_reason_to_string reason });
-            respond_and_close st conn (Protocol.Rejected { id; reason }))
+  | None when deadline_ms <> None && Option.get deadline <= now ->
+      reject st conn ~id Protocol.Deadline_exceeded
+  | None -> (
+      match st.runner.Runner.validate spec with
+      | Error msg -> reject st conn ~id (Protocol.Unsupported msg)
+      | Ok () -> (
+          match
+            Scheduler.submit st.sched ~spec ~fingerprint
+              { Scheduler.id; tenant; deadline; payload = Some conn }
+          with
+          | Scheduler.Fresh ->
+              accept ();
+              let queue_depth = Scheduler.queue_depth st.sched in
+              note st (Event.Request_admitted { id; queue_depth });
+              ignore
+                (write_resp st conn (Protocol.Admitted { id; queue_depth }));
+              chaos_tick st
+          | Scheduler.Joined { leader } ->
+              accept ();
+              note st (Event.Request_coalesced { id; leader });
+              (if write_resp st conn (Protocol.Coalesced { id; leader }) then
+                 if st.running_fp = Some fingerprint then
+                   ignore (write_resp st conn (Protocol.Started { id })));
+              chaos_tick st
+          | Scheduler.Memoized { text; speedup; evaluations } ->
+              note st (Event.Request_cached { id });
+              respond_and_close st conn
+                (Protocol.Result
+                   {
+                     id;
+                     fingerprint;
+                     origin = Protocol.Cached;
+                     group_size = 1;
+                     speedup;
+                     evaluations;
+                     run_s = 0.0;
+                     text;
+                   })
+          | Scheduler.Refused reason -> reject st conn ~id reason))
 
 let handle_frame st conn frame =
   match Protocol.request_of_frame frame with
@@ -223,7 +219,7 @@ let handle_frame st conn frame =
       reject st conn ~id:"?" (Protocol.Malformed reason)
   | Ok Protocol.Ping -> ignore (write_resp st conn Protocol.Pong)
   | Ok Protocol.Stats ->
-      ignore (write_resp st conn (Protocol.Stats_reply (counters st)))
+      ignore (write_resp st conn (Protocol.Stats_reply (stats st)))
   | Ok Protocol.Shutdown ->
       st.stop <- true;
       Scheduler.drain st.sched;
@@ -270,7 +266,7 @@ let sweep_deadlines st =
   | gone ->
       List.iter
         (fun (_fp, (m : payload Scheduler.member)) ->
-          Trace.emit st.trace (Event.Request_expired { id = m.Scheduler.id });
+          note st (Event.Request_expired { id = m.Scheduler.id });
           journal st (Journal.Dropped { id = m.Scheduler.id });
           (match m.payload with
           | Some conn -> conn.waiting <- None
@@ -297,9 +293,9 @@ let drain_sockets st ~timeout =
 (* -- group execution ---------------------------------------------------- *)
 
 let cancel_group st ~fingerprint =
-  let members = Scheduler.cancel st.sched ~fingerprint in
+  let members = Scheduler.fail st.sched ~fingerprint in
   journal st (Journal.Cancelled { fingerprint });
-  Trace.emit st.trace (Event.Group_cancelled { fingerprint });
+  note st (Event.Group_cancelled { fingerprint });
   (* Normally empty — cancellation fires because everyone left — but any
      racer gets a clean terminal rather than silence. *)
   List.iter
@@ -322,7 +318,7 @@ let run_group st (spec, fingerprint) =
             st.running_fp <- Some fingerprint;
             st.run_ticks <- 0;
             journal st (Journal.Started { fingerprint });
-            Trace.emit st.trace
+            note st
               (Event.Group_started
                  { fingerprint; members = List.length members });
             List.iter
@@ -351,7 +347,7 @@ let run_group st (spec, fingerprint) =
     let t0 = Clock.now () in
     let result =
       match
-        timed st "serve.run" (fun () ->
+        Telemetry.time st.telemetry "serve.run" (fun () ->
             st.runner.Runner.run spec ~fingerprint ~tick)
       with
       | result -> `Finished result
@@ -368,7 +364,7 @@ let run_group st (spec, fingerprint) =
         journal st (Journal.Completed { fingerprint; outcome });
         let members = Scheduler.complete st.sched ~fingerprint outcome in
         let group_size = List.length members in
-        Trace.emit st.trace
+        note st
           (Event.Group_finished { fingerprint; members = group_size; run_s });
         let leader =
           match members with m :: _ -> m.Scheduler.id | [] -> ""
@@ -395,7 +391,7 @@ let run_group st (spec, fingerprint) =
     | `Finished (Error message) ->
         journal st (Journal.Failed { fingerprint });
         let members = Scheduler.fail st.sched ~fingerprint in
-        Trace.emit st.trace
+        note st
           (Event.Group_finished
              { fingerprint; members = List.length members; run_s });
         List.iter
@@ -427,6 +423,40 @@ let claim_socket path =
 
 let journal_path state_dir = Filename.concat state_dir "journal"
 
+(* Re-enqueue one unfinished journaled request as a ghost member;
+   [true] iff it joined the queue.  A poisoned, already answerable or
+   inadmissible request is dropped instead: its client learns the
+   verdict on reconnect, and the journal stops owing the stream. *)
+let replay_pending st (p : Journal.pending) =
+  let drop () =
+    journal st (Journal.Dropped { id = p.Journal.p_id });
+    false
+  in
+  if Hashtbl.mem st.poisoned p.Journal.p_fingerprint then drop ()
+  else
+    match
+      Scheduler.submit st.sched ~spec:p.Journal.p_spec
+        ~fingerprint:p.Journal.p_fingerprint
+        {
+          Scheduler.id = p.Journal.p_id;
+          tenant = p.Journal.p_tenant;
+          (* Journaled deadlines are wall-clock; members carry monotonic
+             ones.  Re-base the remaining budget onto the monotonic clock
+             at replay time. *)
+          deadline =
+            Option.map
+              (fun d -> Clock.now () +. (d -. Clock.wall ()))
+              p.Journal.p_deadline;
+          payload = None;
+        }
+    with
+    | Scheduler.Fresh | Scheduler.Joined _ ->
+        note st
+          (Event.Request_replayed
+             { id = p.Journal.p_id; fingerprint = p.Journal.p_fingerprint });
+        true
+    | Scheduler.Memoized _ | Scheduler.Refused _ -> drop ()
+
 (* Boot-time recovery: replay the journal, seed the durable memo, mark
    poisoned fingerprints (appending the quarantine record for newly
    condemned ones), and re-enqueue every unfinished request as a ghost
@@ -446,56 +476,22 @@ let recover st (replay : Journal.replay) =
         journal st (Journal.Poisoned { fingerprint = fp; crashes })
       end)
     replay.Journal.crashes;
-  List.iter
-    (fun (p : Journal.pending) ->
-      if Hashtbl.mem st.poisoned p.Journal.p_fingerprint then
-        (* Its client learns the verdict on reconnect; the journal stops
-           owing the stream. *)
-        journal st (Journal.Dropped { id = p.Journal.p_id })
-      else
-        match
-          Scheduler.submit st.sched ~spec:p.Journal.p_spec
-            ~fingerprint:p.Journal.p_fingerprint
-            {
-              Scheduler.id = p.Journal.p_id;
-              tenant = p.Journal.p_tenant;
-              (* Journaled deadlines are wall-clock; members carry
-                 monotonic ones.  Re-base the remaining budget onto the
-                 monotonic clock at replay time. *)
-              deadline =
-                Option.map
-                  (fun d -> Clock.now () +. (d -. Clock.wall ()))
-                  p.Journal.p_deadline;
-              payload = None;
-            }
-        with
-        | Scheduler.Fresh | Scheduler.Joined _ ->
-            st.replayed <- st.replayed + 1;
-            Trace.emit st.trace
-              (Event.Request_replayed
-                 { id = p.Journal.p_id; fingerprint = p.Journal.p_fingerprint })
-        | Scheduler.Memoized _ | Scheduler.Refused _ ->
-            (* Already answerable (or inadmissible): nothing to re-run. *)
-            journal st (Journal.Dropped { id = p.Journal.p_id }))
-    replay.Journal.pending;
+  let replayed =
+    List.length (List.filter (replay_pending st) replay.Journal.pending)
+  in
   st.restarts <- replay.Journal.boots;
   journal st Journal.Boot;
+  let poisoned = Hashtbl.length st.poisoned in
   if st.journal <> None then
-    Trace.emit st.trace
-      (Event.Server_recovered
-         {
-           restarts = st.restarts;
-           replayed = st.replayed;
-           poisoned = Hashtbl.length st.poisoned;
-         });
-  if st.restarts > 0 || st.replayed > 0 then
+    note st
+      (Event.Server_recovered { restarts = st.restarts; replayed; poisoned });
+  if st.restarts > 0 || replayed > 0 then
     Printf.eprintf "serve: recovered journal (boot %d, %d replayed, %d poisoned)\n%!"
-      (st.restarts + 1) st.replayed
-      (Hashtbl.length st.poisoned)
+      (st.restarts + 1) replayed poisoned
 
 (* -- lifecycle ---------------------------------------------------------- *)
 
-let serve ?trace ?telemetry ?on_ready config runner =
+let serve ?trace ?(telemetry = Telemetry.create ()) ?on_ready config runner =
   claim_socket config.socket_path;
   let journal_handle, replay =
     match config.state_dir with
@@ -524,7 +520,6 @@ let serve ?trace ?telemetry ?on_ready config runner =
       journal = journal_handle;
       poisoned = Hashtbl.create 4;
       restarts = 0;
-      replayed = 0;
       accepted_this_boot = 0;
       conns = [];
       stop = false;
@@ -561,7 +556,7 @@ let serve ?trace ?telemetry ?on_ready config runner =
     | None ->
         if st.stop && with_lock st (fun () -> Scheduler.idle st.sched) then ()
         else begin
-          timed st "serve.wait" (fun () ->
+          Telemetry.time st.telemetry "serve.wait" (fun () ->
               with_lock st (fun () ->
                   sweep_deadlines st;
                   drain_sockets st ~timeout:0.2));
@@ -569,4 +564,4 @@ let serve ?trace ?telemetry ?on_ready config runner =
         end
   in
   loop ();
-  counters st
+  stats st

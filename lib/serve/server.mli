@@ -74,12 +74,18 @@ val serve :
   Runner.t ->
   (string * int) list
 (** Bind, listen, recover the journal, run to shutdown, unlink the
-    socket, and return the scheduler's lifetime counters plus the
-    recovery counters [restarts], [replayed] and [poisoned].  An
-    existing socket file is probed first: a dead one is reclaimed, a
-    {e live} daemon answering on it makes [serve] fail rather than
-    orphan that daemon's clients.  [on_ready] fires once the socket is
-    accepting — the hook tests and scripts use instead of polling.
-    [telemetry] accumulates [serve.wait] (blocked in select) and
-    [serve.run] (searching) timers; [trace] records the request
-    lifecycle events. *)
+    socket, and return the last [stats] reply.  An existing socket file
+    is probed first: a dead one is reclaimed, a {e live} daemon
+    answering on it makes [serve] fail rather than orphan that daemon's
+    clients.  [on_ready] fires once the socket is accepting — the hook
+    tests and scripts use instead of polling.
+
+    The server reports each request-lifecycle event once: counted by
+    {!Ft_obs.Telemetry.count} into [telemetry] (a fresh one if absent)
+    and recorded in [trace].  A [stats] reply is
+    {!Ft_obs.Telemetry.counters} of [telemetry]'s snapshot — the
+    engine's counters too, when the runner's engines share it — followed
+    by the gauges [queue_depth], [restarts] (prior incarnations) and
+    [poisoned] (quarantined fingerprints).  [telemetry] also accumulates
+    the [serve.wait] (blocked in select) and [serve.run] (searching)
+    timers. *)

@@ -99,6 +99,22 @@ let test_counting_rule () =
         { zero with quarantine_hits = 1 } );
       ( Event.Timer { name = "build"; seconds = 1.5 },
         { zero with timers = [ ("build", 1.5) ] } );
+      (* The daemon's request lifecycle. *)
+      ( Event.Request_received { id = "r"; tenant = "t"; fingerprint = "f" },
+        { zero with received = 1 } );
+      ( Event.Request_admitted { id = "r"; queue_depth = 1 },
+        { zero with admitted = 1 } );
+      ( Event.Request_coalesced { id = "r"; leader = "l" },
+        { zero with coalesced = 1 } );
+      (Event.Request_cached { id = "r" }, { zero with memoized = 1 });
+      ( Event.Request_rejected { id = "?"; reason = "malformed: x" },
+        { zero with rejected = 1 } );
+      ( Event.Group_finished { fingerprint = "f"; members = 2; run_s = 0.5 },
+        { zero with groups_completed = 1 } );
+      (Event.Request_expired { id = "r" }, { zero with expired = 1 });
+      (Event.Group_cancelled { fingerprint = "f" }, { zero with cancelled = 1 });
+      ( Event.Request_replayed { id = "r"; fingerprint = "f" },
+        { zero with replayed = 1 } );
       (* Nobody counts these. *)
       (Event.Job_started { key }, zero);
       (Event.Job_finished { key; outcome = "ok"; elapsed_s = Some 1.0 }, zero);
@@ -106,7 +122,8 @@ let test_counting_rule () =
       (Event.Checkpoint_saved { path = "ck" }, zero);
       (Event.Phase_begin { phase = Event.Collect }, zero);
       (Event.Rung_opened { rung = 0; arms = 4; pulls = 8 }, zero);
-      ( Event.Request_received { id = "r"; tenant = "t"; fingerprint = "f" },
+      (Event.Group_started { fingerprint = "f"; members = 1 }, zero);
+      ( Event.Server_recovered { restarts = 1; replayed = 1; poisoned = 0 },
         zero );
     ]
 

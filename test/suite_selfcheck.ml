@@ -1,5 +1,5 @@
 (* Differential checkpoint/resume equivalence, driven by the Selfcheck
-   oracle: for cfr/fr/random at jobs 1/2/4, kill the search at EVERY
+   oracle: for cfr/cfr-adaptive/fr/random/adaptive-sh at jobs 1/2/4, kill the search at EVERY
    evaluation boundary, resume from the snapshot, and require the result,
    cache, quarantine and normalized logical trace to reproduce
    byte-for-byte (plus the cache-merge round-trip).  The suite is
@@ -23,7 +23,8 @@ let platform = Platform.Broadwell
 let input = Ft_suite.Suite.tuning_input platform program
 
 (* Small pool so kill-at-every-boundary stays cheap: cfr performs
-   2 * pool evaluations (collection + search), fr/random perform pool. *)
+   2 * pool evaluations (collection + search), cfr-adaptive at most
+   that, fr/random perform pool. *)
 let pool_size = 6
 
 (* Bit-exact result rendering (%h floats), mirroring the CLI's. *)
@@ -52,6 +53,9 @@ let search_of algo engine =
   render_result
     (match algo with
     | `Cfr -> Tuner.run_cfr ~top_x:3 session
+    | `Adaptive ->
+        Funcytuner.Adaptive.run ~top_x:3 session.Tuner.ctx
+          (Lazy.force session.Tuner.collection)
     | `Fr -> Funcytuner.Fr.run session.Tuner.ctx session.Tuner.outline
     | `Random -> Funcytuner.Random_search.run session.Tuner.ctx
     | `AdaptiveSh ->
@@ -132,6 +136,7 @@ let cases backend =
           [ 1; 2; 4 ])
       [
         ("cfr", `Cfr);
+        ("cfr-adaptive", `Adaptive);
         ("fr", `Fr);
         ("random", `Random);
         ("adaptive-sh", `AdaptiveSh);

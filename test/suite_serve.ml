@@ -16,6 +16,8 @@ module Client = Ft_serve.Client
 module Journal = Ft_serve.Journal
 module Supervisor = Ft_serve.Supervisor
 module Json = Ft_obs.Json
+module Telemetry = Ft_obs.Telemetry
+module Trace = Ft_obs.Trace
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -308,15 +310,7 @@ let test_scheduler_coalescing () =
   | Scheduler.Memoized { text = "T\n"; _ } -> ()
   | _ -> Alcotest.fail "resubmit not Memoized");
   checkb "idle" true (Scheduler.idle sched);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "counters"
-    [
-      ("received", 4); ("admitted", 1); ("coalesced", 2); ("memoized", 1);
-      ("rejected", 0); ("groups_completed", 1); ("queue_depth", 0);
-      ("expired", 0); ("cancelled", 0);
-    ]
-    (Scheduler.counters sched)
+  checki "queue empty" 0 (Scheduler.queue_depth sched)
 
 let test_scheduler_admission () =
   let sched = Scheduler.create ~max_queue:2 in
@@ -330,7 +324,7 @@ let test_scheduler_admission () =
   (match submit sched (spec "swim") "d" with
   | Scheduler.Refused Protocol.Draining -> ()
   | _ -> Alcotest.fail "post-drain submit not refused");
-  checki "rejected" 2 (List.assoc "rejected" (Scheduler.counters sched))
+  checki "refusals hold no place" 2 (Scheduler.queue_depth sched)
 
 let test_scheduler_fairness () =
   let sched = Scheduler.create ~max_queue:64 in
@@ -407,7 +401,6 @@ let test_scheduler_expire () =
   | [ m ] -> checks "survivor" "b" m.Scheduler.id
   | _ -> Alcotest.fail "running group lost its deadline-less member");
   ignore (Scheduler.complete sched ~fingerprint:fp1 (outcome "T\n"));
-  checki "expired" 2 (List.assoc "expired" (Scheduler.counters sched));
   checki "queue empty" 0 (Scheduler.queue_depth sched)
 
 let test_scheduler_cancel () =
@@ -423,10 +416,9 @@ let test_scheduler_cancel () =
      tick; nobody saw a result, so nothing is memoized *)
   checkb "empty but alive" true (Scheduler.members sched ~fingerprint:fp = []);
   checkb "still running" true (not (Scheduler.idle sched));
-  checkb "no stragglers" true (Scheduler.cancel sched ~fingerprint:fp = []);
+  checkb "no stragglers" true (Scheduler.fail sched ~fingerprint:fp = []);
   checkb "gone" true (Scheduler.idle sched);
   checkb "not memoized" true (Scheduler.known sched ~fingerprint:fp = None);
-  checki "cancelled" 1 (List.assoc "cancelled" (Scheduler.counters sched));
   match Scheduler.submit sched ~spec:s ~fingerprint:fp (member "b" "t") with
   | Scheduler.Fresh -> ()
   | _ -> Alcotest.fail "cancelled fingerprint not rerunnable"
@@ -651,6 +643,34 @@ let test_durable_state_dir_clean () =
   checkb "a failed search keeps its log" true
     (List.mem "fp-failed.snap" (files_of "fp-failed"))
 
+(* --- cancellation through a real engine ----------------------------------- *)
+
+(* The server cancels a search by raising [Runner.Cancelled] from its
+   tick.  On a real engine that must unwind the whole search, on every
+   backend and after either kind of job: a batch job (cfr's search
+   batch) or a single evaluation (cfr-adaptive's loop, past its
+   40-job collection batch). *)
+let test_runner_cancel ~backend ~jobs () =
+  List.iter
+    (fun (algorithm, cancel_at) ->
+      let runner =
+        Runner.make ~engine:(Ft_engine.Engine.create ~jobs ~backend ())
+      in
+      let ticks = ref 0 in
+      let tick () =
+        incr ticks;
+        if !ticks = cancel_at then raise (Runner.Cancelled "fp")
+      in
+      match
+        runner.Runner.run
+          { (spec ~algorithm "swim") with Protocol.pool = 40 }
+          ~fingerprint:"fp" ~tick
+      with
+      | Ok _ -> Alcotest.failf "%s: the cancelled search returned a result" algorithm
+      | Error e -> Alcotest.failf "%s: the cancelled search failed: %s" algorithm e
+      | exception Runner.Cancelled "fp" -> ())
+    [ ("cfr", 50); ("cfr-adaptive", 45) ]
+
 (* --- supervisor / client backoff laws ----------------------------------- *)
 
 let test_supervisor_delays () =
@@ -720,6 +740,10 @@ let suite =
       QCheck_alcotest.to_alcotest journal_truncation_property;
       Alcotest.test_case "durable runner leaves a clean state dir" `Quick
         test_durable_state_dir_clean;
+      Alcotest.test_case "tick cancels a real search (domains jobs=1)" `Quick
+        (test_runner_cancel ~backend:Ft_engine.Backend.Domains ~jobs:1);
+      Alcotest.test_case "tick cancels a real search (domains jobs=2)" `Quick
+        (test_runner_cancel ~backend:Ft_engine.Backend.Domains ~jobs:2);
       Alcotest.test_case "supervisor backoff schedule law" `Quick
         test_supervisor_delays;
       Alcotest.test_case "client connect backoff law" `Quick
@@ -1053,19 +1077,25 @@ let expect_killed pid =
 (* A daemon with a durable journal (and optionally the chaos hook),
    forked so the parent can watch it die and boot a successor on the
    same state directory. *)
-let fork_state_daemon ?die_after ~socket_path ~state_dir runner =
+let fork_state_daemon ?die_after ?trace_path ~socket_path ~state_dir runner =
   match Unix.fork () with
   | 0 ->
       (try
+         let trace =
+           Option.map (fun _ -> Trace.create ~clock:Trace.Wall ()) trace_path
+         in
          ignore
-           (Server.serve
+           (Server.serve ?trace
               {
                 (Server.default_config ~socket_path) with
                 state_dir = Some state_dir;
                 die_after_requests = die_after;
                 progress_every = 10;
               }
-              runner)
+              runner);
+         match (trace, trace_path) with
+         | Some trace, Some path -> Ft_obs.Export.write_jsonl ~path trace
+         | _ -> ()
        with _ -> Unix._exit 1);
       Unix._exit 0
   | pid -> pid
@@ -1108,6 +1138,75 @@ let test_e2e_kill_restart () =
       checki "restarts" 1 (List.assoc "restarts" cs);
       checki "replayed" 1 (List.assoc "replayed" cs)
   | Error e -> Alcotest.failf "stats failed: %s" (Client.failure_to_string e)
+
+(* The daemon's counters have one source: each counter of a [stats]
+   reply equals the same counter re-counted from the daemon's exported
+   wall trace, through a journal replay and an unparseable frame.  A
+   replay counts once, as [replayed]; a frame that never parsed as a
+   tune request counts only as [rejected]. *)
+let test_e2e_stats_recount () =
+  let dir = temp_dir "funcy-recount" in
+  let socket_path = Filename.concat dir "sock" in
+  let state_dir = Filename.concat dir "state" in
+  let trace_path = Filename.concat dir "trace.jsonl" in
+  let runner = fake_runner ~ticks:20 ~tick_sleep:0.002 () in
+  let s = spec ~seed:7 "swim" in
+  let pid1 = fork_state_daemon ~die_after:1 ~socket_path ~state_dir runner in
+  (match Client.tune ~retry_for:10.0 ~socket_path ~id:"k1" ~tenant:"t0" s with
+  | Error (Client.Transport _) -> ()
+  | _ -> Alcotest.fail "chaos daemon answered instead of dying");
+  expect_killed pid1;
+  let pid2 = fork_state_daemon ~trace_path ~socket_path ~state_dir runner in
+  let stats =
+    Fun.protect ~finally:(fun () -> stop_daemon ~socket_path pid2) @@ fun () ->
+    (match Client.ping ~retry_for:10.0 socket_path with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "daemon never came up: %s" (Client.failure_to_string e));
+    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket_path);
+    Framing.write_bytes fd (Bytes.of_string "this is not json");
+    (match Protocol.read_response fd with
+    | Ok (Protocol.Rejected { reason = Protocol.Malformed _; _ }) -> ()
+    | _ -> Alcotest.fail "garbage frame not rejected as malformed");
+    Unix.close fd;
+    (match Client.tune ~socket_path ~id:"k1" ~tenant:"t0" s with
+    | Ok p -> checks "replayed result" "RESULT swim seed 7\n" p.Protocol.text
+    | Error f -> Alcotest.failf "resend failed: %s" (Client.failure_to_string f));
+    (match Client.tune ~socket_path ~id:"n1" ~tenant:"t1" (spec ~seed:8 "cl") with
+    | Ok _ -> ()
+    | Error f -> Alcotest.failf "tune failed: %s" (Client.failure_to_string f));
+    match Client.stats socket_path with
+    | Ok cs -> cs
+    | Error e -> Alcotest.failf "stats failed: %s" (Client.failure_to_string e)
+  in
+  let trace =
+    match Ft_obs.Report.load trace_path with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "trace unreadable: %s" e
+  in
+  let recount =
+    Telemetry.of_events
+      (List.map (fun e -> e.Ft_obs.Report.event) trace.Ft_obs.Report.entries)
+  in
+  let gauges = [ "queue_depth"; "restarts"; "poisoned" ] in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "stats counters = the trace's re-count"
+    (Telemetry.counters (Telemetry.snapshot recount))
+    (List.filter (fun (k, _) -> not (List.mem k gauges)) stats);
+  checki "received" 2 (List.assoc "received" stats);
+  checki "replayed" 1 (List.assoc "replayed" stats);
+  checki "rejected" 1 (List.assoc "rejected" stats);
+  checki "restarts" 1 (List.assoc "restarts" stats);
+  let report = Ft_obs.Report.render trace in
+  List.iter
+    (fun line ->
+      checkb ("funcy report prints " ^ line) true
+        (Test_helpers.contains report line))
+    [
+      "  received    2 (from 2 tenants)\n";
+      "  recovery    1 restarts, 1 requests replayed, 0 poisoned specs\n";
+    ]
 
 (* A queued request whose deadline lapses while another search holds the
    engine gets the typed [Deadline_exceeded] answer mid-run. *)
@@ -1303,6 +1402,8 @@ let suite_e2e =
         test_e2e_loadgen;
       Alcotest.test_case "kill at ack, restart replays the journal" `Quick
         test_e2e_kill_restart;
+      Alcotest.test_case "stats counters = the trace's re-count" `Quick
+        test_e2e_stats_recount;
       Alcotest.test_case "queued request expires with typed rejection" `Quick
         test_e2e_deadline;
       Alcotest.test_case "expired sole subscriber cancels the search" `Quick
@@ -1315,4 +1416,7 @@ let suite_e2e =
         test_e2e_poison;
       Alcotest.test_case "kill-restart equivalence oracle (real search)"
         `Quick test_e2e_servecheck;
+      Alcotest.test_case "tick cancels a real search (processes jobs=2)"
+        `Quick
+        (test_runner_cancel ~backend:Ft_engine.Backend.Processes ~jobs:2);
     ] )
