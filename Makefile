@@ -85,8 +85,10 @@ smoke-trace: build
 #      byte-identical to --backend domains --jobs 1;
 #   2. they stay byte-identical when a worker is SIGKILLed mid-search
 #      (--kill-workers-after): the crashed job is retried bit-identically;
-#   3. the same holds at K=600 under the fault model, where chunks reach
-#      their cap and a kill lands past a worker's first chunk.
+#   3. the same holds at K=600 under the fault model, where chunk deltas
+#      carry faults, chunks hold up to 37 jobs (600 / (4 * 4 workers)) and
+#      the kill at job 400 lands past the first two chunks (about 240
+#      jobs) that every worker is fed.
 smoke-procs: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-procs-d.jsonl --trace-clock logical \
@@ -106,7 +108,7 @@ smoke-procs: build
 	  --trace _build/smoke-procs-fd.jsonl --trace-clock logical \
 	  > _build/smoke-procs-fd.out
 	$(FUNCY) tune -b swim -a cfr -k 600 --faults --fault-seed 7 --jobs 4 \
-	  --backend processes --kill-workers-after 100 \
+	  --backend processes --kill-workers-after 400 \
 	  --trace _build/smoke-procs-fk.jsonl --trace-clock logical \
 	  > _build/smoke-procs-fk.out
 	cmp _build/smoke-procs-fd.out _build/smoke-procs-fk.out
@@ -117,9 +119,10 @@ smoke-procs: build
 #   1. --backend sharded --nodes 4 tune output AND its logical trace are
 #      byte-identical to --backend domains --jobs 4 (itself already
 #      checked against --jobs 1 by `smoke`);
-#   2. they stay byte-identical when the first worker is SIGKILLed
-#      mid-search (--kill-workers-after): its unanswered chunks return
-#      to the cursor and the job it was running retries bit-identically.
+#   2. they stay byte-identical when the worker running each batch's
+#      job 3 is SIGKILLed mid-search (--kill-workers-after): its
+#      unanswered chunks return to the cursor and the job it was running
+#      retries bit-identically.
 smoke-shard: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 4 \
 	  --trace _build/smoke-shard-d.jsonl --trace-clock logical \

@@ -118,9 +118,10 @@ let kill_workers_t =
     & info [ "kill-workers-after" ] ~docv:"N"
         ~doc:
           "Testing hook (either forked backend, $(b,processes) or \
-           $(b,sharded)): in each batch's first round, the first worker \
-           SIGKILLs itself at its ($(docv)+1)-th job, exercising crash \
-           recovery; results still match an uninterrupted run.")
+           $(b,sharded)): in each batch's first round, the worker that \
+           starts the batch's job $(docv) (counting from 0) SIGKILLs \
+           itself, exercising crash recovery; results still match an \
+           uninterrupted run.")
 
 let nodes_t =
   Arg.(
@@ -133,92 +134,20 @@ let nodes_t =
            from one shared cursor.  Results are bit-identical for any \
            value.")
 
-let stats_t =
-  Arg.(
-    value & flag
-    & info [ "stats" ]
-        ~doc:"Print engine telemetry (builds, runs, cache, timers) at exit.")
+(* --- the engine: one flag set, one builder ------------------------------ *)
 
-let maybe_stats stats telemetry =
-  if stats then (
-    print_newline ();
-    print_string (Ft_obs.Telemetry.render telemetry))
-
-(* --- run tracing flags ------------------------------------------------- *)
-
-type trace_spec = {
-  trace_path : string option;
-  trace_clock : Trace.clock;
-  trace_format : [ `Jsonl | `Chrome ];
+(* What [tune], [experiment], [serve] and [selfcheck] build their
+   engines from: the substrate and the fault policy. *)
+type engine_spec = {
+  jobs : int;
+  backend : Ft_engine.Backend.t;
+  kill_workers_after : int option;
+  nodes : int;
+  policy : Engine.policy;
+  fault_seed : int;  (* [experiment faults] arms its own rates with it *)
 }
 
-let trace_spec_t =
-  let path_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record every engine and search event (jobs, cache decisions, \
-             faults, retries, phase spans) and write the trace to $(docv) \
-             at exit.  Without this flag not a single event is recorded \
-             and all output is byte-identical to an untraced run.")
-  in
-  let clock_t =
-    Arg.(
-      value
-      & opt (enum [ ("wall", Trace.Wall); ("logical", Trace.Logical) ])
-          Trace.Wall
-      & info [ "trace-clock" ] ~docv:"CLOCK"
-          ~doc:
-            "$(b,wall) (default) stamps events with elapsed seconds and \
-             records schedule-dependent detail (cache hit/miss split, \
-             builds, timers); $(b,logical) stamps canonical event order \
-             only, making the trace bytes reproducible at any $(b,--jobs) \
-             count.")
-  in
-  let format_t =
-    Arg.(
-      value
-      & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
-      & info [ "trace-format" ] ~docv:"FMT"
-          ~doc:
-            "$(b,jsonl) (default): one JSON event per line, readable by \
-             $(b,funcy report); $(b,chrome): a chrome://tracing / Perfetto \
-             trace_event file.")
-  in
-  let combine trace_path trace_clock trace_format =
-    { trace_path; trace_clock; trace_format }
-  in
-  Term.(const combine $ path_t $ clock_t $ format_t)
-
-let make_trace spec =
-  match spec.trace_path with
-  | None -> None
-  | Some _ -> Some (Trace.create ~clock:spec.trace_clock ())
-
-let export_trace spec trace =
-  match (spec.trace_path, trace) with
-  | Some path, Some t -> (
-      match spec.trace_format with
-      | `Jsonl -> Ft_obs.Export.write_jsonl t ~path
-      | `Chrome -> Ft_obs.Export.write_chrome t ~path)
-  | _ -> ()
-
-(* --- fault / recovery / checkpoint flags ------------------------------- *)
-
-type resilience = {
-  faults : bool;
-  fault_rate : float;
-  fault_seed : int;
-  timeout : float option;
-  repeats : int;
-  retries : int;
-  checkpoint : string option;
-  die_after : int option;
-}
-
-let resilience_t =
+let engine_spec_t =
   let rate_arg =
     let parse s =
       match float_of_string_opt s with
@@ -288,92 +217,170 @@ let resilience_t =
       & info [ "retries" ] ~docv:"N"
           ~doc:"Retry budget for transient crashes/timeouts (default 2).")
   in
-  let checkpoint_t =
+  let combine jobs backend kill_workers_after nodes faults fault_rate
+      fault_seed timeout repeats max_retries =
+    let base = Engine.default_policy in
+    let policy =
+      {
+        base with
+        Engine.faults =
+          (if faults then
+             Some (Ft_fault.Fault.make ~seed:fault_seed ~rate:fault_rate ())
+           else None);
+        timeout_s = Option.value ~default:base.Engine.timeout_s timeout;
+        max_retries;
+        repeats;
+      }
+    in
+    { jobs; backend; kill_workers_after; nodes; policy; fault_seed }
+  in
+  Term.(
+    const combine $ jobs_t $ backend_t $ kill_workers_t $ nodes_t $ faults_t
+    $ rate_t $ fault_seed_t $ timeout_t $ repeats_t $ retries_t)
+
+(* The one place the binary builds an engine. *)
+let engine_of spec ?telemetry ?cache ?quarantine ?checkpoint ?trace () =
+  Engine.create ~jobs:spec.jobs ~backend:spec.backend
+    ?kill_workers_after:spec.kill_workers_after ~nodes:spec.nodes
+    ~policy:spec.policy ?telemetry ?cache ?quarantine ?checkpoint ?trace ()
+
+(* --- persistence flags: tune, experiment and a stateless serve ---------- *)
+
+let checkpoint_t =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "checkpoint" ] ~docv:"PATH"
+        ~doc:
+          "Keep the measurement cache and quarantine list in the log \
+           $(docv), appending the run's new entries 64 at a time and at \
+           exit; if $(docv) already exists, resume from it — a killed \
+           search re-run with the same arguments reaches a bit-identical \
+           result.  Concurrent funcy processes may share one $(docv): \
+           each adopts the entries the others append, under an exclusive \
+           lock on $(docv).lock.")
+
+let die_after_t =
+  Arg.(
+    value
+    & opt (some (bounded_int_arg ~what:"die-after" ~min_v:1)) None
+    & info [ "die-after" ] ~docv:"N"
+        ~doc:
+          "Testing hook: after $(docv) engine jobs, flush the checkpoint, \
+           write the trace and $(b,--stats) as at a normal exit, then \
+           abort (exit 99), simulating a mid-search crash.")
+
+(* With --checkpoint, attach the log to the engine, resuming from it when
+   it already exists.  Resume chatter goes to stderr so stdout stays
+   byte-comparable across resumed runs. *)
+let open_engine spec ?trace = function
+  | None -> engine_of spec ?trace ()
+  | Some path -> (
+      let ck = Checkpoint.create ~path () in
+      match Checkpoint.load ck with
+      | Some (cache, quarantine) ->
+          Printf.eprintf
+            "funcy: resuming from %s (%d cached summaries, %d quarantined)\n%!"
+            path (Cache.length cache)
+            (Quarantine.length quarantine);
+          Trace.emit trace
+            (Ft_obs.Event.Checkpoint_loaded
+               { path; entries = Cache.length cache });
+          engine_of spec ~cache ~quarantine ~checkpoint:ck ?trace ()
+      | None -> engine_of spec ~checkpoint:ck ?trace ())
+
+(* --- output flags: the trace and --stats -------------------------------- *)
+
+type outputs = {
+  trace_path : string option;
+  trace_clock : Trace.clock;
+  trace_format : [ `Jsonl | `Chrome ];
+  stats : bool;
+}
+
+let outputs_t =
+  let path_t =
     Arg.(
       value
       & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"PATH"
+      & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Keep the measurement cache and quarantine list in the log \
-             $(docv), appending the run's new entries 64 at a time and at \
-             exit; if $(docv) already exists, resume from it — a killed \
-             search re-run with the same arguments reaches a bit-identical \
-             result.  Concurrent funcy processes may share one $(docv): \
-             each adopts the entries the others append, under an exclusive \
-             lock on $(docv).lock.")
+            "Record every engine and search event (jobs, cache decisions, \
+             faults, retries, phase spans) and write the trace to $(docv) \
+             at exit.  Without this flag not a single event is recorded \
+             and all output is byte-identical to an untraced run.")
   in
-  let die_after_t =
+  let clock_t =
     Arg.(
       value
-      & opt (some (bounded_int_arg ~what:"die-after" ~min_v:1)) None
-      & info [ "die-after" ] ~docv:"N"
+      & opt (enum [ ("wall", Trace.Wall); ("logical", Trace.Logical) ])
+          Trace.Wall
+      & info [ "trace-clock" ] ~docv:"CLOCK"
           ~doc:
-            "Testing hook: flush the checkpoint and abort (exit 99) after \
-             $(docv) engine jobs, simulating a mid-search crash.")
+            "$(b,wall) (default) stamps events with elapsed seconds and \
+             records schedule-dependent detail (cache hit/miss split, \
+             builds, timers); $(b,logical) stamps canonical event order \
+             only, making the trace bytes reproducible at any $(b,--jobs) \
+             count.")
   in
-  let combine faults fault_rate fault_seed timeout repeats retries checkpoint
-      die_after =
-    { faults; fault_rate; fault_seed; timeout; repeats; retries; checkpoint;
-      die_after }
+  let format_t =
+    Arg.(
+      value
+      & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
+      & info [ "trace-format" ] ~docv:"FMT"
+          ~doc:
+            "$(b,jsonl) (default): one JSON event per line, readable by \
+             $(b,funcy report); $(b,chrome): a chrome://tracing / Perfetto \
+             trace_event file.")
   in
-  Term.(
-    const combine $ faults_t $ rate_t $ fault_seed_t $ timeout_t $ repeats_t
-    $ retries_t $ checkpoint_t $ die_after_t)
+  let stats_t =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print engine telemetry (builds, runs, cache, timers) at exit.")
+  in
+  let combine trace_path trace_clock trace_format stats =
+    { trace_path; trace_clock; trace_format; stats }
+  in
+  Term.(const combine $ path_t $ clock_t $ format_t $ stats_t)
 
-let policy_of_resilience r =
-  let base = Engine.default_policy in
-  {
-    base with
-    Engine.faults =
-      (if r.faults then
-         Some (Ft_fault.Fault.make ~seed:r.fault_seed ~rate:r.fault_rate ())
-       else None);
-    timeout_s = Option.value ~default:base.Engine.timeout_s r.timeout;
-    max_retries = r.retries;
-    repeats = r.repeats;
-  }
+let make_trace out =
+  Option.map (fun _ -> Trace.create ~clock:out.trace_clock ()) out.trace_path
 
-(* Build the engine the session (or lab) will evaluate through: arm the
-   policy and, with --checkpoint, attach the log — resuming from it when
-   it already exists.  Resume chatter goes to stderr so stdout stays
-   byte-comparable across resumed runs. *)
-let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
-  let policy = policy_of_resilience r in
-  match r.checkpoint with
-  | None ->
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~policy ?trace ()
-  | Some path ->
-      let ck = Checkpoint.create ~path () in
-      let cache, quarantine =
-        match Checkpoint.load ck with
-        | Some (cache, quarantine) ->
-            Printf.eprintf
-              "funcy: resuming from %s (%d cached summaries, %d quarantined)\n%!"
-              path (Cache.length cache)
-              (Quarantine.length quarantine);
-            Trace.emit trace
-              (Ft_obs.Event.Checkpoint_loaded
-                 { path; entries = Cache.length cache });
-            (cache, quarantine)
-        | None -> (Cache.create (), Quarantine.create ())
-      in
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~cache
-        ~quarantine ~policy ~checkpoint:ck ?trace ()
+(* The one exit path of [tune], [experiment] and [serve] — a return, an
+   exception or the --die-after crash: sync the checkpoint log, write
+   the trace collected so far (a post-mortem [funcy report] on a crashed
+   run is precisely the observability story), print --stats. *)
+let finish out trace ?engine telemetry =
+  Option.iter Engine.flush_checkpoint engine;
+  (match (out.trace_path, trace) with
+  | Some path, Some t -> (
+      match out.trace_format with
+      | `Jsonl -> Ft_obs.Export.write_jsonl t ~path
+      | `Chrome -> Ft_obs.Export.write_chrome t ~path)
+  | _ -> ());
+  if out.stats then begin
+    print_newline ();
+    print_string (Ft_obs.Telemetry.render telemetry)
+  end
 
-(* The simulated crash still flushes the checkpoint and exports the trace
-   collected so far: a post-mortem [funcy report] on a crashed run is
-   precisely the observability story. *)
-let arm_die_after engine ?(on_die = fun () -> ()) = function
-  | None -> ()
-  | Some n ->
-      Ft_obs.Telemetry.set_progress (Engine.telemetry engine)
-        (fun ~completed ->
+(* Run [f] on the engine the flags describe, leaving through [finish]. *)
+let with_engine spec out ~checkpoint ~die_after f =
+  let trace = make_trace out in
+  let engine = open_engine spec ?trace checkpoint in
+  let telemetry = Engine.telemetry engine in
+  let finish () = finish out trace ~engine telemetry in
+  Option.iter
+    (fun n ->
+      Ft_obs.Telemetry.set_progress telemetry (fun ~completed ->
           if completed >= n then begin
-            Engine.flush_checkpoint engine;
-            on_die ();
+            finish ();
             Printf.eprintf "funcy: --die-after %d: simulated crash\n%!" n;
             exit 99
-          end)
+          end))
+    die_after;
+  Fun.protect ~finally:finish (fun () -> f engine)
 
 (* --- list ------------------------------------------------------------ *)
 
@@ -476,33 +483,28 @@ let decisions_cmd =
 
 (* --- tune ------------------------------------------------------------- *)
 
-(* The same bytes the tuning server returns for this search — the
-   byte-identity half of the serve contract lives in [Result.render]. *)
-let print_result (r : Result.t) = print_string (Result.render r)
-
 let tune_cmd =
+  (* The search table's algorithms print their result alone — the bytes
+     the tuning server returns for the same spec; the others print extra
+     lines of their own. *)
   let algo_t =
     let algos =
-      [
-        ("cfr", `Cfr);
-        ("cfr-adaptive", `Adaptive);
-        ("adaptive-sh", `AdaptiveSh);
-        ("random", `Random);
-        ("fr", `Fr);
-        ("greedy", `Greedy);
-        ("opentuner", `Opentuner);
-        ("cobayn", `Cobayn);
-        ("ce", `Ce);
-        ("pgo", `Pgo);
-      ]
+      List.map (fun name -> (name, `Search name)) Tuner.searches
+      @ [
+          ("greedy", `Greedy);
+          ("opentuner", `Opentuner);
+          ("cobayn", `Cobayn);
+          ("ce", `Ce);
+          ("pgo", `Pgo);
+        ]
     in
     Arg.(
       value
-      & opt (enum algos) `Cfr
+      & opt (enum algos) (`Search "cfr")
       & info [ "a"; "algorithm" ] ~docv:"ALGO"
           ~doc:
-            "One of: cfr, cfr-adaptive, adaptive-sh, random, fr, greedy, \
-             opentuner, cobayn, ce, pgo (default cfr).")
+            (Printf.sprintf "One of: %s (default cfr)."
+               (String.concat ", " (List.map fst algos))))
   in
   let top_x_t =
     Arg.(
@@ -534,16 +536,10 @@ let tune_cmd =
              holds are pre-scored as allocator priors, costing no \
              budget.")
   in
-  let run program platform seed pool jobs backend kill_workers nodes stats
-      resilience tspec algo top_x budget warm_start =
-    let trace = make_trace tspec in
-    let engine =
-      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
-        ?trace resilience
-    in
-    arm_die_after engine
-      ~on_die:(fun () -> export_trace tspec trace)
-      resilience.die_after;
+  let run program platform seed pool spec checkpoint die_after out algo top_x
+      budget warm_start =
+    with_engine spec out ~checkpoint ~die_after @@ fun engine ->
+    let print_result r = print_string (Result.render r) in
     let session =
       Tuner.make_session ~pool_size:pool ~engine ~platform ~program
         ~input:(Ft_suite.Suite.tuning_input platform program)
@@ -554,28 +550,13 @@ let tune_cmd =
       program.Program.name (Platform.name platform)
       ctx.Funcytuner.Context.baseline_s
       (Ft_outline.Outline.module_count session.Tuner.outline - 1);
-    (match (Engine.policy engine).Engine.faults with
+    (match spec.policy.Engine.faults with
     | Some f -> Printf.printf "fault model: %s\n" (Ft_fault.Fault.describe f)
     | None -> ());
     print_newline ();
-    Fun.protect ~finally:(fun () ->
-        Engine.flush_checkpoint engine;
-        export_trace tspec trace;
-        maybe_stats stats (Funcytuner.Context.telemetry ctx))
-    @@ fun () ->
     match algo with
-    | `Cfr -> print_result (Tuner.run_cfr ?top_x session)
-    | `Adaptive ->
-        print_result
-          (Funcytuner.Adaptive.run ?top_x ctx
-             (Lazy.force session.Tuner.collection))
-    | `AdaptiveSh ->
-        let warm = Option.map Ft_engine.Cache.load warm_start in
-        print_result
-          (Funcytuner.Adaptive_sh.run ?top_x ?budget ?warm ctx
-             (Lazy.force session.Tuner.collection))
-    | `Random -> print_result (Funcytuner.Random_search.run ctx)
-    | `Fr -> print_result (Funcytuner.Fr.run ctx session.Tuner.outline)
+    | `Search name ->
+        print_result (Tuner.search ?top_x ?budget ?warm_start name session)
     | `Greedy ->
         let g =
           Funcytuner.Greedy.run ctx (Lazy.force session.Tuner.collection)
@@ -602,9 +583,8 @@ let tune_cmd =
         let toolchain = Ft_machine.Toolchain.make platform in
         let input = Ft_suite.Suite.tuning_input platform program in
         let ce =
-          Ft_baselines.Ce.run
-            ?faults:(Engine.policy engine).Engine.faults ?trace ~toolchain
-            ~program ~input
+          Ft_baselines.Ce.run ?faults:spec.policy.Engine.faults
+            ?trace:(Engine.trace engine) ~toolchain ~program ~input
             ~rng:(Ft_util.Rng.create seed)
             ()
         in
@@ -622,7 +602,8 @@ let tune_cmd =
         let toolchain = Ft_machine.Toolchain.make platform in
         let input = Ft_suite.Suite.tuning_input platform program in
         let pgo =
-          Ft_baselines.Pgo_driver.run ?trace ~toolchain ~program ~input
+          Ft_baselines.Pgo_driver.run ?trace:(Engine.trace engine) ~toolchain
+            ~program ~input
             ~rng:(Ft_util.Rng.create seed) ()
         in
         Printf.printf "PGO: speedup %.3f over O3%s\n"
@@ -634,29 +615,11 @@ let tune_cmd =
   Cmd.v
     (Cmd.info "tune" ~doc:"Run one auto-tuning algorithm")
     Term.(
-      const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ stats_t
-      $ resilience_t $ trace_spec_t $ algo_t $ top_x_t $ budget_t
+      const run $ program_t $ platform_t $ seed_t $ pool_t $ engine_spec_t
+      $ checkpoint_t $ die_after_t $ outputs_t $ algo_t $ top_x_t $ budget_t
       $ warm_start_t)
 
 (* --- selfcheck --------------------------------------------------------- *)
-
-(* Byte-exact rendering of a search result for the differential oracle:
-   floats in %h so two runs compare equal exactly when their results are
-   bit-identical, never merely close. *)
-let render_result_exact (r : Result.t) =
-  let compact_config = function
-    | Result.Whole_program cv -> "uniform:" ^ Ft_flags.Cv.to_compact cv
-    | Result.Per_module assignment ->
-        String.concat ","
-          (List.map
-             (fun (m, cv) -> m ^ "=" ^ Ft_flags.Cv.to_compact cv)
-             assignment)
-  in
-  Printf.sprintf "%s|%h|%h|%d|%s|%s" r.Result.algorithm r.Result.best_seconds
-    r.Result.speedup r.Result.evaluations
-    (compact_config r.Result.configuration)
-    (String.concat "," (List.map (Printf.sprintf "%h") r.Result.trace))
 
 let rec remove_tree path =
   if Sys.is_directory path then begin
@@ -674,23 +637,15 @@ let with_scratch_dir f =
   Fun.protect ~finally:(fun () -> remove_tree path) (fun () -> f path)
 
 let selfcheck_cmd =
-  let algos =
-    [
-      ("cfr", `Cfr);
-      ("cfr-adaptive", `Adaptive);
-      ("fr", `Fr);
-      ("random", `Random);
-      ("adaptive-sh", `AdaptiveSh);
-    ]
-  in
   let algos_t =
     Arg.(
       value
-      & opt_all (enum algos) []
+      & opt_all (enum (List.map (fun name -> (name, name)) Tuner.searches)) []
       & info [ "a"; "algorithm" ] ~docv:"ALGO"
           ~doc:
-            "Search to check: cfr, cfr-adaptive, fr, random or adaptive-sh \
-             (repeatable; default: all five).")
+            (Printf.sprintf "Search to check: %s (repeatable; default: all \
+                             five)."
+               (String.concat ", " Tuner.searches)))
   in
   let kill_at_t =
     Arg.(
@@ -718,19 +673,16 @@ let selfcheck_cmd =
   in
   (* The service-side oracle: forked supervised daemons, so it must run
      before this process spawns any domain. *)
-  let run_serve_oracle program platform seed pool jobs backend nodes
-      resilience =
-    let policy = policy_of_resilience resilience in
+  let run_serve_oracle program platform seed pool spec =
     with_scratch_dir @@ fun scratch ->
     let make_runner ~state_dir =
       let make_engine ?cache ?quarantine ?checkpoint () =
-        Engine.create ~jobs ~backend ~nodes ?cache ?quarantine ~policy
-          ?checkpoint ()
+        engine_of spec ?cache ?quarantine ?checkpoint ()
       in
       Ft_serve.Runner.make_durable ~make_engine ~state_dir ~checkpoint_every:8
         ()
     in
-    let spec s =
+    let tune_spec s =
       {
         Ft_serve.Protocol.benchmark = program.Program.name;
         platform = Platform.short_name platform;
@@ -741,58 +693,42 @@ let selfcheck_cmd =
       }
     in
     let specs =
-      [ ("sc-1", "t0", spec seed); ("sc-2", "t1", spec (seed + 1)) ]
+      [ ("sc-1", "t0", tune_spec seed); ("sc-2", "t1", tune_spec (seed + 1)) ]
     in
     let outcome =
       Ft_serve.Servecheck.run ~scratch ~make_runner ~specs
-        ~poison:("sc-poison", "t0", spec (seed + 2))
+        ~poison:("sc-poison", "t0", tune_spec (seed + 2))
         ()
     in
     print_string (Ft_serve.Servecheck.render outcome);
     if not (Ft_serve.Servecheck.passed outcome) then exit 1
   in
-  let run program platform seed pool jobs backend kill_workers nodes
-      resilience algos_selected kill_at serve =
-    if serve then run_serve_oracle program platform seed pool jobs backend
-      nodes resilience
+  let run program platform seed pool spec algos_selected kill_at serve =
+    if serve then run_serve_oracle program platform seed pool spec
     else begin
-    let policy = policy_of_resilience resilience in
     let input = Ft_suite.Suite.tuning_input platform program in
     let algos_selected =
-      match algos_selected with [] -> List.map snd algos | l -> l
+      match algos_selected with [] -> Tuner.searches | l -> l
     in
     with_scratch_dir @@ fun scratch ->
     let failures =
       List.filter
-        (fun algo ->
-          let name = fst (List.find (fun (_, a) -> a = algo) algos) in
+        (fun name ->
           let label =
             Printf.sprintf "%s (%s on %s, seed %d, jobs %d, backend %s)" name
               program.Program.name
               (Platform.short_name platform)
-              seed jobs
-              (Ft_engine.Backend.to_name backend)
+              seed spec.jobs
+              (Ft_engine.Backend.to_name spec.backend)
           in
           let make_engine ~cache ~quarantine ~checkpoint ~trace =
-            Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-              ~nodes ~cache ~quarantine ~policy ?checkpoint ?trace ()
+            engine_of spec ~cache ~quarantine ?checkpoint ?trace ()
           in
           let search engine =
-            let session =
-              Tuner.make_session ~pool_size:pool ~engine ~platform ~program
-                ~input ~seed ()
-            in
-            render_result_exact
-              (match algo with
-              | `Cfr -> Tuner.run_cfr session
-              | `Adaptive ->
-                  Funcytuner.Adaptive.run session.Tuner.ctx
-                    (Lazy.force session.Tuner.collection)
-              | `Fr -> Funcytuner.Fr.run session.Tuner.ctx session.Tuner.outline
-              | `Random -> Funcytuner.Random_search.run session.Tuner.ctx
-              | `AdaptiveSh ->
-                  Funcytuner.Adaptive_sh.run session.Tuner.ctx
-                    (Lazy.force session.Tuner.collection))
+            Result.render_exact
+              (Tuner.search name
+                 (Tuner.make_session ~pool_size:pool ~engine ~platform
+                    ~program ~input ~seed ()))
           in
           let outcome =
             Ft_engine.Selfcheck.run ?kill_points:kill_at ~scratch ~label
@@ -811,16 +747,13 @@ let selfcheck_cmd =
          "Differential checkpoint/resume equivalence oracle: for each \
           selected search, compare an uninterrupted run against runs \
           killed at several evaluation boundaries and resumed from their \
-          checkpoints (plus a cache-merge round-trip), asserting \
-          byte-identical results, caches, quarantines and normalized \
-          logical traces.  With $(b,--serve), check the tuning service's \
-          kill-restart equivalence instead.  Exits 1 on any divergence.  \
-          $(b,--checkpoint) and $(b,--die-after) are managed internally \
-          and ignored here.")
+          checkpoints, asserting byte-identical results, caches, \
+          quarantines and normalized logical traces.  With $(b,--serve), \
+          check the tuning service's kill-restart equivalence instead.  \
+          Exits 1 on any divergence.")
     Term.(
-      const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ resilience_t $ algos_t
-      $ kill_at_t $ serve_t)
+      const run $ program_t $ platform_t $ seed_t $ pool_t $ engine_spec_t
+      $ algos_t $ kill_at_t $ serve_t)
 
 (* --- experiment ------------------------------------------------------- *)
 
@@ -866,8 +799,7 @@ let experiment_cmd =
             (Printf.sprintf "%s (default: all of them but faults)."
                (String.concat " " experiment_names)))
   in
-  let run seed pool jobs backend kill_workers nodes stats resilience tspec
-      csv_dir names =
+  let run seed pool spec checkpoint die_after out csv_dir names =
     (* Created before any work, so a bad directory cannot cost a run. *)
     Option.iter
       (fun dir ->
@@ -879,14 +811,7 @@ let experiment_cmd =
         | () -> if not (Sys.is_directory dir) then fail "not a directory"
         | exception Unix.Unix_error (err, _, _) -> fail (Unix.error_message err))
       csv_dir;
-    let trace = make_trace tspec in
-    let engine =
-      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
-        ?trace resilience
-    in
-    arm_die_after engine
-      ~on_die:(fun () -> export_trace tspec trace)
-      resilience.die_after;
+    with_engine spec out ~checkpoint ~die_after @@ fun engine ->
     let lab = Ft_experiments.Lab.create ~seed ~pool_size:pool ~engine () in
     let open Ft_experiments in
     let emit name series =
@@ -922,8 +847,8 @@ let experiment_cmd =
       | "faults" ->
           emit "faults"
             (Faults.run ~telemetry:(Lab.telemetry lab)
-               ~fault_seed:resilience.fault_seed ~seed ~pool_size:pool ~jobs
-               ())
+               ~fault_seed:spec.fault_seed ~seed ~pool_size:pool
+               ~jobs:spec.jobs ())
       | "ablations" ->
           emit "topx" (Ablations.top_x_sweep lab);
           Ft_util.Table.print (Ablations.convergence lab);
@@ -935,19 +860,13 @@ let experiment_cmd =
           (* unreachable: names are validated by [experiment_arg] *)
           assert false
     in
-    Fun.protect ~finally:(fun () ->
-        Engine.flush_checkpoint engine;
-        export_trace tspec trace;
-        maybe_stats stats (Ft_experiments.Lab.telemetry lab))
-    @@ fun () ->
     List.iter dispatch (match names with [] -> default_experiments | n -> n)
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate paper tables and figures")
     Term.(
-      const run $ seed_t $ pool_t $ jobs_t $ backend_t $ kill_workers_t
-      $ nodes_t $ stats_t $ resilience_t $ trace_spec_t
-      $ csv_dir_t $ names_t)
+      const run $ seed_t $ pool_t $ engine_spec_t $ checkpoint_t
+      $ die_after_t $ outputs_t $ csv_dir_t $ names_t)
 
 (* --- report ------------------------------------------------------------ *)
 
@@ -1069,34 +988,57 @@ let serve_cmd =
       & info [ "respawn-budget" ] ~docv:"N"
           ~doc:"Respawns the supervisor allows (default 16).")
   in
-  let run socket max_queue progress_every jobs backend kill_workers nodes
-      stats resilience tspec state_dir die_after_requests poison_threshold
-      checkpoint_every supervise respawn_budget =
+  (* Cmdliner reads an unambiguous prefix as the whole option name, so
+     --die-after needs an entry of its own to be refused rather than
+     taken for --die-after-requests. *)
+  let refused_die_after_t =
+    Arg.(
+      value & opt (some string) None
+      & info [ "die-after" ] ~docv:"N"
+          ~doc:
+            "Refused: the daemon has no engine-job crash hook; its crash \
+             hook is $(b,--die-after-requests).")
+  in
+  (* A --state-dir daemon checkpoints each search in a log of its own, so
+     one --checkpoint log for the daemon would go unwritten. *)
+  let state_t =
+    let combine state_dir checkpoint refused_die_after =
+      if refused_die_after <> None then
+        `Error
+          (true, "--die-after is not a serve option (see \
+                  --die-after-requests)")
+      else if state_dir <> None && checkpoint <> None then
+        `Error
+          (true, "--checkpoint cannot be combined with --state-dir, which \
+                  keeps one checkpoint log per search")
+      else `Ok (state_dir, checkpoint)
+    in
+    Term.(
+      ret (const combine $ state_dir_t $ checkpoint_t $ refused_die_after_t))
+  in
+  let run socket max_queue progress_every spec out (state_dir, checkpoint)
+      die_after_requests poison_threshold checkpoint_every supervise
+      respawn_budget =
     (* Everything engine-flavoured happens inside [daemon] so that under
        --supervise the forking supervisor parent never spawns a domain. *)
     let daemon ~generation:_ =
-      let trace = make_trace tspec in
-      let telemetry, runner =
+      let trace = make_trace out in
+      let engine, telemetry, runner =
         match state_dir with
         | None ->
-            let engine =
-              make_engine ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?trace resilience
-            in
-            (Engine.telemetry engine, Ft_serve.Runner.make ~engine)
+            let engine = open_engine spec ?trace checkpoint in
+            ( Some engine,
+              Engine.telemetry engine,
+              Ft_serve.Runner.make ~engine )
         | Some dir ->
-            let policy = policy_of_resilience resilience in
             (* One telemetry for every per-search engine, so --stats adds
                up across searches as the shared engine's does. *)
             let telemetry = Ft_obs.Telemetry.create () in
-            let make_engine ?cache ?quarantine ?checkpoint () =
-              Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?cache ~telemetry ?quarantine ~policy ?checkpoint
-                ?trace ()
-            in
-            ( telemetry,
-              Ft_serve.Runner.make_durable ~make_engine ~state_dir:dir
-                ~checkpoint_every () )
+            ( None,
+              telemetry,
+              Ft_serve.Runner.make_durable
+                ~make_engine:(engine_of spec ~telemetry ?trace)
+                ~state_dir:dir ~checkpoint_every () )
       in
       let config =
         {
@@ -1108,18 +1050,13 @@ let serve_cmd =
           poison_threshold;
         }
       in
-      let counters =
-        Fun.protect ~finally:(fun () ->
-            export_trace tspec trace;
-            maybe_stats stats telemetry)
-        @@ fun () ->
-        Serve.serve ?trace ~telemetry
-          ~on_ready:(fun () ->
-            Printf.eprintf "funcy serve: listening on %s\n%!" socket)
-          config runner
-      in
-      print_endline "funcy serve: drained; lifetime counters:";
-      List.iter (fun (k, v) -> Printf.printf "  %-18s %d\n" k v) counters;
+      Fun.protect ~finally:(fun () -> finish out trace ?engine telemetry)
+        (fun () ->
+          Serve.serve ?trace ~telemetry
+            ~on_ready:(fun () ->
+              Printf.eprintf "funcy serve: listening on %s\n%!" socket)
+            config runner);
+      print_endline "funcy serve: drained";
       0
     in
     if supervise then begin
@@ -1150,11 +1087,9 @@ let serve_cmd =
           shutdown request (or SIGTERM): the daemon drains its queue \
           and exits.")
     Term.(
-      const run $ socket_t $ max_queue_t $ progress_every_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ stats_t $ resilience_t
-      $ trace_spec_t $ state_dir_t $ die_after_requests_t
-      $ poison_threshold_t $ checkpoint_every_t $ supervise_t
-      $ respawn_budget_t)
+      const run $ socket_t $ max_queue_t $ progress_every_t $ engine_spec_t
+      $ outputs_t $ state_t $ die_after_requests_t $ poison_threshold_t
+      $ checkpoint_every_t $ supervise_t $ respawn_budget_t)
 
 let wait_t =
   let wait_arg =
@@ -1177,8 +1112,7 @@ let client_cmd =
   let algo_t =
     Arg.(
       value
-      & opt (enum (List.map (fun a -> (a, a)) Ft_serve.Runner.algorithms))
-          "cfr"
+      & opt (enum (List.map (fun a -> (a, a)) Tuner.searches)) "cfr"
       & info [ "a"; "algorithm" ] ~docv:"ALGO"
           ~doc:
             "One of: cfr, cfr-adaptive, adaptive-sh, fr, random (the \
@@ -1392,7 +1326,7 @@ let loadgen_cmd =
   let algo_t =
     Arg.(
       value
-      & opt (enum (List.map (fun a -> (a, a)) Ft_serve.Runner.algorithms))
+      & opt (enum (List.map (fun a -> (a, a)) Tuner.searches))
           "cfr-adaptive"
       & info [ "a"; "algorithm" ] ~docv:"ALGO"
           ~doc:"Search every request asks for (default cfr-adaptive).")

@@ -44,6 +44,22 @@ let render r =
         assignment);
   Buffer.contents buf
 
+(* Floats in %h, so two renderings are equal exactly when the results
+   are bit-identical, never merely close. *)
+let render_exact r =
+  let config =
+    match r.configuration with
+    | Whole_program cv -> "uniform:" ^ Ft_flags.Cv.to_compact cv
+    | Per_module assignment ->
+        String.concat ","
+          (List.map
+             (fun (m, cv) -> m ^ "=" ^ Ft_flags.Cv.to_compact cv)
+             assignment)
+  in
+  Printf.sprintf "%s|%h|%h|%d|%s|%s" r.algorithm r.best_seconds r.speedup
+    r.evaluations config
+    (String.concat "," (List.map (Printf.sprintf "%h") r.trace))
+
 let best_so_far series =
   let folder (best, acc) x =
     let best' = match best with None -> x | Some b -> Float.min b x in

@@ -40,6 +40,12 @@ val render : t -> string
     this, and the tuning server returns exactly this to clients, so a
     served result is byte-identical to a solo run's output. *)
 
+val render_exact : t -> string
+(** A one-line, bit-exact rendering for differential checks: label,
+    best seconds, speedup, evaluations, the configuration as compact CVs
+    and the trace, with every float in [%h].  Two renderings are equal
+    exactly when the results are bit-identical. *)
+
 val best_so_far : float list -> float list
 (** Prefix-minimum of a measurement series — helper for traces. *)
 

@@ -42,6 +42,32 @@ let run_all ?top_x session =
 let run_cfr ?top_x session =
   Cfr.run ?top_x session.ctx (Lazy.force session.collection)
 
+(* The session searches, by name: each entry passes on only the options
+   its algorithm takes, and an absent one keeps that algorithm's own
+   default. *)
+let table =
+  let collection s = Lazy.force s.collection in
+  [
+    ("cfr", fun ~top_x ~budget:_ ~warm_start:_ s -> run_cfr ?top_x s);
+    ( "cfr-adaptive",
+      fun ~top_x ~budget:_ ~warm_start:_ s ->
+        Adaptive.run ?top_x s.ctx (collection s) );
+    ( "adaptive-sh",
+      fun ~top_x ~budget ~warm_start s ->
+        let warm = Option.map Ft_engine.Cache.load warm_start in
+        Adaptive_sh.run ?top_x ?budget ?warm s.ctx (collection s) );
+    ("fr", fun ~top_x:_ ~budget:_ ~warm_start:_ s -> Fr.run s.ctx s.outline);
+    ( "random",
+      fun ~top_x:_ ~budget:_ ~warm_start:_ s -> Random_search.run s.ctx );
+  ]
+
+let searches = List.map fst table
+
+let search ?top_x ?budget ?warm_start name session =
+  match List.assoc_opt name table with
+  | Some run -> run ~top_x ~budget ~warm_start session
+  | None -> invalid_arg ("Tuner.search: unknown search " ^ name)
+
 let build_configuration session (configuration : Result.configuration) =
   match configuration with
   | Result.Whole_program cv ->

@@ -45,6 +45,27 @@ val run_all : ?top_x:int -> session -> report
 val run_cfr : ?top_x:int -> session -> Result.t
 (** Just the collection + CFR (used by the baseline-comparison figures). *)
 
+val searches : string list
+(** The session searches by name, in table order: ["cfr"],
+    ["cfr-adaptive"], ["adaptive-sh"], ["fr"], ["random"].  Each one's
+    whole output is its {!Result.t}, so [funcy tune], [funcy selfcheck]
+    and the tuning service run exactly these, through {!search}. *)
+
+val search :
+  ?top_x:int ->
+  ?budget:int ->
+  ?warm_start:string ->
+  string ->
+  session ->
+  Result.t
+(** [search name session] runs the search [name] of {!searches}.  An
+    option goes only to the algorithms that take it, and an absent one
+    keeps that algorithm's default: [top_x] to cfr, cfr-adaptive (both
+    {!Cfr.default_top_x}) and adaptive-sh ({!Adaptive_sh.default_top_x});
+    [budget] and [warm_start] (a cache file {!Ft_engine.Cache.load}
+    reads, opened only when adaptive-sh runs) to adaptive-sh alone.
+    @raise Invalid_argument if [name] is not in {!searches}. *)
+
 val evaluate_configuration :
   session ->
   input:Ft_prog.Input.t ->

@@ -67,8 +67,6 @@ let adopt t entries =
           end)
         0 entries)
 
-let merge t ~from = adopt t (snapshot from)
-
 (* Install [state] for [path] and return every entry of the table, in
    one critical section: an entry added later reaches [s_pending]. *)
 let attach t path state =

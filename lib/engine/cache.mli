@@ -70,11 +70,6 @@ val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
     @raise Corrupt when the header is missing, wrong or truncated;
     [Sys_error] if the file is unreadable. *)
 
-val merge : t -> from:t -> int
-(** Adopt every binding of [from] that [t] lacks (existing keys win —
-    values for equal keys are bit-identical by the determinism argument,
-    so precedence is moot).  Returns the number adopted. *)
-
 type synced = {
   adopted : int;  (** summaries adopted {e from} the file *)
   wrote : bool;

@@ -667,9 +667,11 @@ let merge_delta t d =
    job.  Crashed jobs are re-run in fresh pool rounds — never in-parent:
    a job that deterministically kills its worker must stay isolated — up
    to [max_retries] times; exhaustion surfaces as [Worker_crashed] and
-   quarantines the key.  The chaos hook is armed only on the first
-   round, so the retried job's re-run is never re-killed and the run
-   converges to the uninterrupted result. *)
+   quarantines the key.  The chaos hook ([kill_workers_after = Some k])
+   lives in the session: in the first round the worker that starts job
+   [k] SIGKILLs itself, after the pool's progress marker has named that
+   job; later rounds are unarmed, so the retried job's re-run is never
+   re-killed and the run converges to the uninterrupted result. *)
 let forked_outcomes t c jobs_array =
   let n = Array.length jobs_array in
   let batch = Trace.batch t.trace ~size:n in
@@ -681,10 +683,14 @@ let forked_outcomes t c jobs_array =
   in
   let run_round ~chaos indices =
     let idx = Array.of_list indices in
+    let kill_at =
+      match t.kill_workers_after with Some k when chaos -> k | _ -> -1
+    in
     let session () =
       let s = shadow t in
       ( (fun slot ->
           let i = idx.(slot) in
+          if i = kill_at then Unix.kill (Unix.getpid ()) Sys.sigkill;
           Trace.in_job s.trace ~batch ~index:i (fun () ->
               try_measure_in s c jobs_array.(i))),
         fun () -> delta_of s )
@@ -706,10 +712,9 @@ let forked_outcomes t c jobs_array =
           note t (Event.Worker_crashed { detail });
           crashed := (i, detail) :: !crashed
     in
-    let kill = if chaos then t.kill_workers_after else None in
     ignore
       (Procpool.map_chunked ~workers ~on_delta:(merge_delta t) ~on_result
-         ?kill_first_worker_after:kill session (Array.length idx));
+         session (Array.length idx));
     List.sort (fun (a, _) (b, _) -> compare a b) !crashed
   in
   let rec rounds attempt ~chaos indices =

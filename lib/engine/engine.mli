@@ -122,9 +122,10 @@ val create :
     quarantine news, a telemetry snapshot, trace stamps), which the
     parent merges before recording the chunk's outcomes.
     [kill_workers_after] arms the deterministic chaos hook on either
-    forked backend: on each batch's {e first} round, the first worker
-    SIGKILLs itself at its [(k+1)]-th job — the crash path's test
-    harness.  A fresh cache, telemetry and quarantine are allocated
+    forked backend: on each batch's {e first} round, the worker that
+    starts the batch's job [k] (counting from 0) SIGKILLs itself — the
+    crash path's test harness; a batch of [k] jobs or fewer is never
+    killed.  A fresh cache, telemetry and quarantine are allocated
     unless shared ones are passed (e.g. one cache for a whole experiment
     lab, or a quarantine reloaded from a checkpoint).  When a
     [checkpoint] is attached, its log takes the new cache and quarantine

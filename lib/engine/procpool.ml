@@ -35,10 +35,8 @@ let chunk_cap = 64
 let chunk_divisor = 4
 let chunks_in_flight = 2
 
-(* Parent->worker frame: run slots [lo, hi).  [kill_at] is the slot at
-   which the chaos designee SIGKILLs itself, after writing that slot's
-   progress marker ([-1]: none) — the hook behind [--kill-workers-after]. *)
-type request = { lo : int; hi : int; kill_at : int }
+(* Parent->worker frame: run slots [lo, hi). *)
+type request = { lo : int; hi : int }
 
 (* Worker->parent frame, one per chunk. *)
 type ('b, 'd) reply = {
@@ -55,9 +53,7 @@ type worker = {
   prog_r : Unix.file_descr;  (* progress markers; nonblocking *)
   mutable chunks : (int * int) list;  (* fed, unanswered; oldest first *)
   mutable started : int;  (* last marker read, -1 before the first *)
-  mutable fed : int;
   mutable alive : bool;
-  chaos_designee : bool;
 }
 
 let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -109,14 +105,13 @@ let worker_loop session job_r res_w prog_w =
     match Ipc.read job_r with
     | Error `Eof -> Unix._exit 0
     | Error (`Torn _) -> Unix._exit 3
-    | Ok { lo; hi; kill_at } ->
+    | Ok { lo; hi } ->
         let job, close = session () in
         let values =
           Array.init (hi - lo) (fun j ->
               let slot = lo + j in
               Bytes.set_int32_be marker 0 (Int32.of_int slot);
               ignore (Unix.write prog_w marker 0 marker_bytes);
-              if slot = kill_at then Unix.kill (Unix.getpid ()) Sys.sigkill;
               match job slot with
               | v -> Stdlib.Ok v
               | exception e -> Stdlib.Error (Printexc.to_string e))
@@ -129,8 +124,7 @@ let worker_loop session job_r res_w prog_w =
   in
   try loop () with _ -> Unix._exit 4
 
-let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
-    session n =
+let map_chunked ~workers ?on_delta ?on_result session n =
   if workers < 1 then invalid_arg "Procpool.map: workers must be >= 1";
   let results = Array.make n None in
   if n = 0 then [||]
@@ -148,7 +142,6 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
        worker held but never answered are pushed back on the front. *)
     let pending = ref [ (0, n) ] in
     let unassigned = ref n in
-    let chaos_fired = ref false in
     let completed = ref 0 in
     let respawns = ref 0 in
     (* Every respawn is paid for by a crash, and every crash consumes one
@@ -161,7 +154,7 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
       incr completed;
       match on_result with Some cb -> cb i r | None -> ()
     in
-    let spawn ~chaos_designee () =
+    let spawn () =
       let job_r, job_w = Unix.pipe () in
       let res_r, res_w = Unix.pipe () in
       let prog_r, prog_w = Unix.pipe () in
@@ -181,8 +174,7 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
           Unix.set_nonblock prog_r;
           let w =
             { pid; job_w; job_writer = Ipc.Writer.create job_w; res_r; prog_r;
-              chunks = []; started = -1; fed = 0; alive = true;
-              chaos_designee }
+              chunks = []; started = -1; alive = true }
           in
           live := w :: !live
     in
@@ -216,52 +208,25 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
           give_back ((lo, c) :: (c + 1, hi) :: later);
           finish c (Stdlib.Error (Crashed { pid = w.pid; detail }))
     in
-    (* While the chaos hook is armed but unfired, non-designees may not
-       take the last slots: the designee needs [k] jobs plus one more for
-       the kill to fire, and under an unlucky scheduler a starved
-       designee could otherwise watch its siblings drain the whole array
-       — leaving an armed kill that silently never happens (and
-       crash-count tests that flake with machine load). *)
-    let reserved_for_designee w =
-      match kill_first_worker_after with
-      | Some k when (not !chaos_fired) && not w.chaos_designee -> (
-          match
-            List.find_opt (fun x -> x.chaos_designee && x.alive) !live
-          with
-          | Some d -> max 0 (k + 1 - d.fed)
-          | None -> 0)
-      | _ -> 0
-    in
-    let take w =
-      let avail = !unassigned - reserved_for_designee w in
+    let take () =
       match !pending with
-      | (lo, hi) :: rest when avail > 0 ->
+      | (lo, hi) :: rest ->
           let size =
             !unassigned / (chunk_divisor * worker_count)
-            |> min chunk_cap |> max 1 |> min avail |> min (hi - lo)
+            |> min chunk_cap |> max 1 |> min (hi - lo)
           in
           pending := if lo + size < hi then (lo + size, hi) :: rest else rest;
           unassigned := !unassigned - size;
           Some (lo, lo + size)
-      | _ -> None
+      | [] -> None
     in
     let rec feed w =
       if w.alive && List.length w.chunks < chunks_in_flight then
-        match take w with
+        match take () with
         | None -> ()
         | Some (lo, hi) -> (
-            let kill_at =
-              match kill_first_worker_after with
-              | Some k
-                when w.chaos_designee && (not !chaos_fired)
-                     && k < w.fed + (hi - lo) ->
-                  chaos_fired := true;
-                  lo + (k - w.fed)
-              | _ -> -1
-            in
-            w.fed <- w.fed + (hi - lo);
             w.chunks <- w.chunks @ [ (lo, hi) ];
-            match Ipc.Writer.write w.job_writer { lo; hi; kill_at } with
+            match Ipc.Writer.write w.job_writer { lo; hi } with
             | () -> feed w
             | exception _ ->
                 (* Dead before it could read: its marker says how far it
@@ -298,7 +263,7 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
     in
     Fun.protect ~finally:cleanup @@ fun () ->
     for _ = 1 to worker_count do
-      spawn ~chaos_designee:(!live = []) ()
+      spawn ()
     done;
     while !completed < n do
       (* Keep the pool at its fixed size while unassigned work remains. *)
@@ -308,7 +273,7 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
         && !respawns < respawn_budget
       do
         incr respawns;
-        spawn ~chaos_designee:false ()
+        spawn ()
       done;
       List.iter feed !live;
       let watched = List.filter (fun w -> w.chunks <> []) !live in
@@ -352,7 +317,7 @@ let map_chunked ~workers ?on_delta ?on_result ?kill_first_worker_after
     Array.map (function Some r -> r | None -> assert false) results
   end
 
-let map ~workers ?on_result ?kill_first_worker_after f a =
-  map_chunked ~workers ?on_result ?kill_first_worker_after
+let map ~workers ?on_result f a =
+  map_chunked ~workers ?on_result
     (fun () -> ((fun i -> f a.(i)), ignore))
     (Array.length a)

@@ -13,8 +13,9 @@
 
     {2 Crash taxonomy}
 
-    A worker can die by signal (OOM kill, SIGSEGV, the chaos hook), by
-    nonzero exit, or by desynchronizing its reply stream (a torn frame).
+    A worker can die by signal (OOM kill, SIGSEGV, a job that SIGKILLs
+    its own process, as the engine's chaos hook does), by nonzero exit,
+    or by desynchronizing its reply stream (a torn frame).
     All three surface the same way: exactly one slot, the one the worker
     was running, finishes as [Error (Crashed { pid; detail })]; every
     other slot it held but had not answered goes back to the cursor;
@@ -51,7 +52,6 @@ val map_chunked :
   workers:int ->
   ?on_delta:('d -> unit) ->
   ?on_result:(int -> ('b, failure) result -> unit) ->
-  ?kill_first_worker_after:int ->
   (unit -> (int -> 'b) * (unit -> 'd)) ->
   int ->
   ('b, failure) result array
@@ -71,18 +71,11 @@ val map_chunked :
     the delta first, then [on_result] fires once per slot of the chunk;
     a crash fires [on_result] once, for its one casualty.  A callback
     that raises aborts the map (the workers are killed).
-
-    [kill_first_worker_after:k] is the deterministic chaos hook: the
-    first worker spawned writes the marker of its [(k+1)]-th job and
-    then SIGKILLs itself, once per call — exercising the whole crash
-    path (attribution, reap, respawn, return to the cursor) on demand.
-    While it is armed, other workers leave that job to the designee.
     @raise Invalid_argument if [workers < 1]. *)
 
 val map :
   workers:int ->
   ?on_result:(int -> ('b, failure) result -> unit) ->
-  ?kill_first_worker_after:int ->
   ('a -> 'b) ->
   'a array ->
   ('b, failure) result array

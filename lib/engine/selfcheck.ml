@@ -150,9 +150,8 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
     ignore (search doomed : string);
     match Checkpoint.load ck with
     | None ->
-        ( [ { stage; part = "checkpoint";
-              diff = [ "no snapshot reached the disk at this kill point" ] } ],
-          None )
+        [ { stage; part = "checkpoint";
+            diff = [ "no snapshot reached the disk at this kill point" ] } ]
     | Some (cache, quarantine) ->
         let trace = Trace.create ~clock:Trace.Logical () in
         let resumed_engine =
@@ -161,47 +160,15 @@ let run ?kill_points ~scratch ~label ~make_engine ~search () =
             ~trace:(Some trace)
         in
         let result = search resumed_engine in
-        let candidate = snapshot resumed_engine trace result in
-        ( compare_artifacts ~stage ~reference ~candidate,
-          Some (Engine.cache resumed_engine) )
-  in
-  let kill_divs, last_resumed_cache =
-    List.fold_left
-      (fun (divs, last) n ->
-        let d, cache = check_kill n in
-        (divs @ d, match cache with Some _ -> cache | None -> last))
-      ([], None) kill_points
-  in
-  (* Cache-merge round-trip: adopting the resumed cache into the reference
-     cache, and vice versa, must commute — and since a resumed search
-     recomputes exactly the reference's key set, both unions must
-     serialize to the reference snapshot itself. *)
-  let merge_divs, merge_checks =
-    match last_resumed_cache with
-    | None -> ([], 0)
-    | Some resumed_cache ->
-        let adopt base extra =
-          let union = Cache.create () in
-          ignore (Cache.merge union ~from:base : int);
-          ignore (Cache.merge union ~from:extra : int);
-          union
-        in
-        let ab = cache_lines (adopt (Engine.cache ref_engine) resumed_cache) in
-        let ba = cache_lines (adopt resumed_cache (Engine.cache ref_engine)) in
-        ( []
-          |> compare_part ~stage:"cache-merge" ~part:"order-independence"
-               ~expected:ab ~actual:ba
-          |> compare_part ~stage:"cache-merge" ~part:"union-vs-reference"
-               ~expected:reference.cache_lines ~actual:ab
-          |> List.rev,
-          2 )
+        compare_artifacts ~stage ~reference
+          ~candidate:(snapshot resumed_engine trace result)
   in
   {
     label;
     evaluations;
     kill_points;
-    checks = (4 * List.length kill_points) + merge_checks;
-    divergences = kill_divs @ merge_divs;
+    checks = 4 * List.length kill_points;
+    divergences = List.concat_map check_kill kill_points;
   }
 
 let passed o = o.divergences = []
@@ -219,8 +186,7 @@ let render o =
   if passed o then
     Printf.bprintf b
       "  %d checks passed: every resume reproduced the result, cache, \
-       quarantine and normalized trace byte-for-byte; cache merge is \
-       order-independent\n\
+       quarantine and normalized trace byte-for-byte\n\
       \  PASS\n"
       o.checks
   else

@@ -12,22 +12,19 @@
       semantics — the run then continues but everything after the flush
       is discarded, which is byte-equivalent on disk to killing the
       process at the flush), followed by a {b resumed} run reloading that
-      log through {!Checkpoint.load};
-    + a {b cache-merge round-trip}: {!Cache.merge} of the reference and
-      resumed caches in both orders.
+      log through {!Checkpoint.load}.
 
     It then asserts, for every resume: byte-identical rendered result,
-    cache, quarantine, and resume-invariant
-    normalized logical trace ({!Ft_obs.Trace.normalized_lines}); and for
-    the merge: both orders byte-identical to each other and to the
-    reference cache.  Any difference is reported as a structured diff.
+    cache, quarantine, and resume-invariant normalized logical trace
+    ({!Ft_obs.Trace.normalized_lines}).  Any difference is reported as a
+    structured diff.
 
     The oracle is parameterized over engine construction and the search
     itself (this library sits below the search layers), so the CLI and
     the test suites supply both. *)
 
 type divergence = {
-  stage : string;  (** ["kill\@3"], ["cache-merge"], ... *)
+  stage : string;  (** the kill point, e.g. ["kill\@3"] *)
   part : string;
       (** ["result"], ["cache"], ["quarantine"], ["trace"],
           ["checkpoint"] *)

@@ -16,14 +16,12 @@ type t = {
     (Scheduler.outcome, string) result;
 }
 
-let algorithms = [ "cfr"; "cfr-adaptive"; "adaptive-sh"; "fr"; "random" ]
-
 let validate (spec : Protocol.tune_spec) =
   if Ft_suite.Suite.find spec.benchmark = None then
     Error (Printf.sprintf "unknown benchmark '%s'" spec.benchmark)
   else if Ft_prog.Platform.of_short_name spec.platform = None then
     Error (Printf.sprintf "unknown platform '%s'" spec.platform)
-  else if not (List.mem spec.algorithm algorithms) then
+  else if not (List.mem spec.algorithm Tuner.searches) then
     Error (Printf.sprintf "unknown algorithm '%s'" spec.algorithm)
   else if spec.pool < 1 then
     Error (Printf.sprintf "pool must be positive, got %d" spec.pool)
@@ -32,31 +30,14 @@ let validate (spec : Protocol.tune_spec) =
     | Some x when x < 1 -> Error (Printf.sprintf "top_x must be positive, got %d" x)
     | _ -> Ok ()
 
+(* The solo [funcy tune] path: one session, then the search table. *)
 let search ~engine (spec : Protocol.tune_spec) =
   let program = Option.get (Ft_suite.Suite.find spec.benchmark) in
   let platform = Option.get (Ft_prog.Platform.of_short_name spec.platform) in
-  let session =
-    Tuner.make_session ~pool_size:spec.pool ~engine ~platform ~program
-      ~input:(Ft_suite.Suite.tuning_input platform program)
-      ~seed:spec.seed ()
-  in
-  (* [spec.top_x] stays optional all the way down so each algorithm
-     applies its own default width (20 for cfr/cfr-adaptive, 4 for
-     adaptive-sh) — exactly as the solo [funcy tune] CLI does, which
-     the byte-identity contract depends on. *)
-  match spec.algorithm with
-  | "cfr" -> Tuner.run_cfr ?top_x:spec.top_x session
-  | "cfr-adaptive" ->
-      Funcytuner.Adaptive.run ?top_x:spec.top_x session.Tuner.ctx
-        (Lazy.force session.Tuner.collection)
-  | "adaptive-sh" ->
-      Funcytuner.Adaptive_sh.run ?top_x:spec.top_x session.Tuner.ctx
-        (Lazy.force session.Tuner.collection)
-  | "fr" -> Funcytuner.Fr.run session.Tuner.ctx session.Tuner.outline
-  | "random" -> Funcytuner.Random_search.run session.Tuner.ctx
-  | other ->
-      (* unreachable behind [validate] *)
-      invalid_arg ("Runner.search: unsupported algorithm " ^ other)
+  Tuner.search ?top_x:spec.top_x spec.algorithm
+    (Tuner.make_session ~pool_size:spec.pool ~engine ~platform ~program
+       ~input:(Ft_suite.Suite.tuning_input platform program)
+       ~seed:spec.seed ())
 
 (* One search on [engine], progress callback installed for its duration.
    Per-spec failures become [Error]; fatal exceptions — the runtime

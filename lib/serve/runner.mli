@@ -1,7 +1,9 @@
 (** The server's bridge to the tuning engine.
 
-    A runner validates specs against the suite catalog and executes
-    searches.  Two flavours:
+    A runner validates specs against the suite catalog and the search
+    table ({!Funcytuner.Tuner.searches}), and runs each search through
+    {!Funcytuner.Tuner.search}, as a solo [funcy tune] does.  Two
+    flavours:
 
     - {!make}: one shared {!Ft_engine.Engine} across requests (sound
       because the determinism contract makes search outcomes independent
@@ -40,11 +42,6 @@ type t = {
           Per-spec failures are [Error]; fatal exceptions (including
           {!Cancelled}) propagate. *)
 }
-
-val algorithms : string list
-(** Specs the service accepts: the searches whose solo [funcy tune]
-    output is exactly {!Ft_core.Result.render} — ["cfr"],
-    ["cfr-adaptive"], ["adaptive-sh"], ["fr"], ["random"]. *)
 
 val make : engine:Ft_engine.Engine.t -> t
 (** A shared-engine runner.  [run] installs a telemetry progress

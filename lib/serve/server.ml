@@ -563,5 +563,4 @@ let serve ?trace ?(telemetry = Telemetry.create ()) ?on_ready config runner =
           loop ()
         end
   in
-  loop ();
-  stats st
+  loop ()

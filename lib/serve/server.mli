@@ -72,9 +72,9 @@ val serve :
   ?on_ready:(unit -> unit) ->
   config ->
   Runner.t ->
-  (string * int) list
-(** Bind, listen, recover the journal, run to shutdown, unlink the
-    socket, and return the last [stats] reply.  An existing socket file
+  unit
+(** Bind, listen, recover the journal, run to shutdown and unlink the
+    socket.  An existing socket file
     is probed first: a dead one is reclaimed, a {e live} daemon
     answering on it makes [serve] fail rather than orphan that daemon's
     clients.  [on_ready] fires once the socket is accepting — the hook

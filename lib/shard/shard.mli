@@ -11,7 +11,7 @@ val map :
   ('a -> 'b) ->
   'a array ->
   ('b, Ft_engine.Procpool.failure) result array
-(** [Procpool.map ~workers:nodes], without the chaos hook.
+(** [Procpool.map ~workers:nodes].
     @raise Invalid_argument if [nodes < 1]. *)
 
 val install : unit -> unit

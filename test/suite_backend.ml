@@ -105,19 +105,36 @@ let test_procpool_on_result_once_per_index () =
     indices;
   Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
 
-(* The chaos hook: the first worker SIGKILLs itself after completing k
-   jobs — k = 0 on 60 items before it completes anything, k = 2 on 30
-   items inside its first chunk, k = 70 on 400 items past it.  Its
-   in-flight job must surface as Crashed (with the signal named); every
-   other job, its unanswered chunks included, must still complete on the
-   respawned or surviving workers. *)
+(* The first worker to complete k jobs SIGKILLs itself from inside its
+   next job — k = 0 on 60 items before it completes anything, k = 2 on
+   30 items inside its first chunk, k = 70 on 400 items past it.  Each
+   forked worker counts its own jobs from the parent's 0, and an O_EXCL
+   token file lets only one of them fire.  Its in-flight job must
+   surface as Crashed (with the signal named); every other job, its
+   unanswered chunks included, must still complete on the respawned or
+   surviving workers. *)
 let test_procpool_kill_surfaces_as_crash () =
   List.iter
     (fun (k, n) ->
+      let token = Test_helpers.temp_path "kill-token" ".tok" in
+      let completed = ref 0 in
+      let work i =
+        (if !completed = k then
+           match
+             Unix.openfile token [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ]
+               0o600
+           with
+           | fd ->
+               Unix.close fd;
+               Unix.kill (Unix.getpid ()) Sys.sigkill
+           | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+        incr completed;
+        i * 3
+      in
       let results =
-        Procpool.map ~workers:2 ~kill_first_worker_after:k
-          (fun i -> i * 3)
-          (Array.init n Fun.id)
+        Fun.protect
+          ~finally:(fun () -> Test_helpers.remove_if_exists token)
+          (fun () -> Procpool.map ~workers:2 work (Array.init n Fun.id))
       in
       let crashed = ref 0 in
       Array.iteri
@@ -218,9 +235,11 @@ let test_shard_orphaned_shard_migrates () =
 
 let test_crash_attribution_exact () =
   (* A closure that SIGKILLs its own worker at one index — first, inside
-     an early chunk, mid-array, last — must cost exactly that index:
-     whatever the chunking, the job the worker was running is the
-     casualty and every other index completes with its value. *)
+     an early chunk, mid-array, last — must cost exactly that index, as
+     a crash whose detail names the signal: whatever the chunking, the
+     job the worker was running is the casualty and every other index,
+     the dead worker's unanswered chunks included, completes with its
+     value. *)
   List.iter
     (fun victim ->
       List.iter
@@ -237,7 +256,10 @@ let test_crash_attribution_exact () =
               in
               match r with
               | Stdlib.Ok v when i <> victim -> Alcotest.(check int) tag (i * 7) v
-              | Stdlib.Error (Procpool.Crashed _) when i = victim -> ()
+              | Stdlib.Error (Procpool.Crashed { detail; _ }) when i = victim
+                ->
+                  Alcotest.(check bool) (tag ^ ": signal named") true
+                    (Test_helpers.contains detail "SIGKILL")
               | Stdlib.Ok _ -> Alcotest.fail (tag ^ ": victim survived")
               | Stdlib.Error f ->
                   Alcotest.fail (tag ^ ": " ^ Procpool.failure_to_string f))
@@ -272,20 +294,12 @@ let run_algo ?kill_workers_after ?checkpoint ?policy ?(pool_size = 24)
     Tuner.make_session ~pool_size ~engine ~platform ~program:swim
       ~input ~seed:42 ()
   in
-  let result =
-    match algo with
-    | `Cfr -> Tuner.run_cfr session
-    | `Fr -> Funcytuner.Fr.run session.Tuner.ctx session.Tuner.outline
-    | `Random -> Funcytuner.Random_search.run session.Tuner.ctx
-    | `AdaptiveSh ->
-        Funcytuner.Adaptive_sh.run session.Tuner.ctx
-          (Lazy.force session.Tuner.collection)
-  in
+  let result = Tuner.search algo session in
   Engine.flush_checkpoint engine;
   let bytes = String.concat "\n" (Export.jsonl_lines trace) ^ "\n" in
   (result, bytes, engine)
 
-let check_differential algo name =
+let check_differential algo =
   let base_result, base_bytes, _ =
     run_algo ~backend:Backend.Domains ~jobs:1 algo
   in
@@ -293,7 +307,7 @@ let check_differential algo name =
     (fun (backend, jobs) ->
       let result, bytes, _ = run_algo ~backend ~jobs algo in
       let tag =
-        Printf.sprintf "%s %s/%d" name (Backend.to_name backend) jobs
+        Printf.sprintf "%s %s/%d" algo (Backend.to_name backend) jobs
       in
       Alcotest.(check bool)
         (tag ^ ": result bit-identical to domains -j1")
@@ -308,12 +322,12 @@ let check_differential algo name =
       (Backend.Sharded, 2);
     ]
 
-let test_differential_cfr () = check_differential `Cfr "cfr"
-let test_differential_fr () = check_differential `Fr "fr"
-let test_differential_random () = check_differential `Random "random"
+let test_differential_cfr () = check_differential "cfr"
+let test_differential_fr () = check_differential "fr"
+let test_differential_random () = check_differential "random"
 
 let test_differential_adaptive_sh () =
-  check_differential `AdaptiveSh "adaptive-sh"
+  check_differential "adaptive-sh"
 
 let test_differential_survives_worker_kills () =
   (* The acceptance property end-to-end: SIGKILL a worker on the first
@@ -321,10 +335,10 @@ let test_differential_survives_worker_kills () =
      result and logical trace — to an uninterrupted domains -j1 run,
      with the crashes visible in telemetry (and only there). *)
   let base_result, base_bytes, _ =
-    run_algo ~backend:Backend.Domains ~jobs:1 `Cfr
+    run_algo ~backend:Backend.Domains ~jobs:1 "cfr"
   in
   let result, bytes, engine =
-    run_algo ~backend:Backend.Processes ~jobs:4 ~kill_workers_after:3 `Cfr
+    run_algo ~backend:Backend.Processes ~jobs:4 ~kill_workers_after:3 "cfr"
   in
   Alcotest.(check bool) "result identical despite kills" true
     (result = base_result);
@@ -336,15 +350,15 @@ let test_differential_survives_worker_kills () =
 
 let test_differential_survives_node_kills () =
   (* The sharded acceptance property end-to-end, under the same hook:
-     SIGKILL the first node on the first round of every batch —
+     SIGKILL the node running job 3 on the first round of every batch —
      returning its unanswered chunks to the cursor each time — and the
      tune must still be byte-identical, result and logical trace, to an
      uninterrupted domains -j1 run. *)
   let base_result, base_bytes, _ =
-    run_algo ~backend:Backend.Domains ~jobs:1 `Cfr
+    run_algo ~backend:Backend.Domains ~jobs:1 "cfr"
   in
   let result, bytes, engine =
-    run_algo ~backend:Backend.Sharded ~jobs:4 ~kill_workers_after:3 `Cfr
+    run_algo ~backend:Backend.Sharded ~jobs:4 ~kill_workers_after:3 "cfr"
   in
   Alcotest.(check bool) "result identical despite node kills" true
     (result = base_result);
@@ -367,7 +381,7 @@ let test_faulted_differential_full_chunks () =
       repeats = 3;
     }
   in
-  let run backend jobs = run_algo ~policy ~pool_size:600 ~backend ~jobs `Cfr in
+  let run backend jobs = run_algo ~policy ~pool_size:600 ~backend ~jobs "cfr" in
   let base_result, base_bytes, base_engine = run Backend.Domains 1 in
   let base_quar = Quarantine.bindings (Engine.quarantine base_engine) in
   Alcotest.(check bool) "the fault model quarantined something" true
@@ -389,7 +403,7 @@ let test_faulted_differential_full_chunks () =
    the same bindings.  Each leg runs in a forked child: a domains leg at
    jobs > 1 spawns domains, after which this process could no longer
    fork the later tests' workers. *)
-let check_format_differential configs algo name =
+let check_format_differential configs algo =
   let dir = Test_helpers.temp_dir "format-diff" in
   Fun.protect
     ~finally:(fun () -> Test_helpers.remove_tree dir)
@@ -406,7 +420,7 @@ let check_format_differential configs algo name =
       List.iteri
         (fun i (backend, jobs) ->
           let tag =
-            Printf.sprintf "%s %s -j%d" name (Backend.to_name backend) jobs
+            Printf.sprintf "%s %s -j%d" algo (Backend.to_name backend) jobs
           in
           let result, bytes, cache = run (i + 1) backend jobs in
           Alcotest.(check bool) (tag ^ ": result = baseline") true
@@ -437,16 +451,16 @@ let spot_matrix =
   [ (Backend.Domains, 4); (Backend.Processes, 4); (Backend.Sharded, 4) ]
 
 let test_format_differential_cfr () =
-  check_format_differential full_matrix `Cfr "cfr"
+  check_format_differential full_matrix "cfr"
 
 let test_format_differential_fr () =
-  check_format_differential spot_matrix `Fr "fr"
+  check_format_differential spot_matrix "fr"
 
 let test_format_differential_random () =
-  check_format_differential spot_matrix `Random "random"
+  check_format_differential spot_matrix "random"
 
 let test_format_differential_adaptive_sh () =
-  check_format_differential spot_matrix `AdaptiveSh "adaptive-sh"
+  check_format_differential spot_matrix "adaptive-sh"
 
 let sample_jobs n =
   let rng = Rng.create 11 in

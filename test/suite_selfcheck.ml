@@ -1,11 +1,11 @@
 (* Differential checkpoint/resume equivalence, driven by the Selfcheck
-   oracle: for cfr/cfr-adaptive/fr/random/adaptive-sh at jobs 1/2/4, kill the search at EVERY
-   evaluation boundary, resume from the snapshot, and require the result,
-   cache, quarantine and normalized logical trace to reproduce
-   byte-for-byte (plus the cache-merge round-trip).  The suite is
-   parameterized over the execution backend: the domains variant runs in
-   test_main, the processes variant in test_backend (forking is illegal
-   in a process that ever spawned a domain). *)
+   oracle: for cfr/cfr-adaptive/fr/random/adaptive-sh at jobs 1/2/4, kill
+   the search at EVERY evaluation boundary, resume from the snapshot, and
+   require the result, cache, quarantine and normalized logical trace to
+   reproduce byte-for-byte.  The suite is parameterized over the
+   execution backend: the domains variant runs in test_main, the
+   processes variant in test_backend (forking is illegal in a process
+   that ever spawned a domain). *)
 
 open Ft_prog
 module Engine = Ft_engine.Engine
@@ -27,40 +27,15 @@ let input = Ft_suite.Suite.tuning_input platform program
    that, fr/random perform pool. *)
 let pool_size = 6
 
-(* Bit-exact result rendering (%h floats), mirroring the CLI's. *)
-let render_result (r : Result.t) =
-  let config =
-    match r.Result.configuration with
-    | Result.Whole_program cv -> "uniform:" ^ Ft_flags.Cv.to_compact cv
-    | Result.Per_module assignment ->
-        String.concat ","
-          (List.map
-             (fun (m, cv) -> m ^ "=" ^ Ft_flags.Cv.to_compact cv)
-             assignment)
-  in
-  Printf.sprintf "%s|%h|%h|%d|%s|%s" r.Result.algorithm r.Result.best_seconds
-    r.Result.speedup r.Result.evaluations config
-    (String.concat "," (List.map (Printf.sprintf "%h") r.Result.trace))
-
 let with_scratch f =
   let dir = Test_helpers.temp_dir "selfcheck" in
   Fun.protect ~finally:(fun () -> Test_helpers.remove_tree dir) (fun () -> f dir)
 
-let search_of algo engine =
-  let session =
-    Tuner.make_session ~pool_size ~engine ~platform ~program ~input ~seed:42 ()
-  in
-  render_result
-    (match algo with
-    | `Cfr -> Tuner.run_cfr ~top_x:3 session
-    | `Adaptive ->
-        Funcytuner.Adaptive.run ~top_x:3 session.Tuner.ctx
-          (Lazy.force session.Tuner.collection)
-    | `Fr -> Funcytuner.Fr.run session.Tuner.ctx session.Tuner.outline
-    | `Random -> Funcytuner.Random_search.run session.Tuner.ctx
-    | `AdaptiveSh ->
-        Funcytuner.Adaptive_sh.run ~top_x:3 session.Tuner.ctx
-          (Lazy.force session.Tuner.collection))
+let search_of name engine =
+  Result.render_exact
+    (Tuner.search ~top_x:3 name
+       (Tuner.make_session ~pool_size ~engine ~platform ~program ~input
+          ~seed:42 ()))
 
 let oracle ?(policy = Engine.default_policy) ?kill_points ~backend ~jobs ~algo
     () =
@@ -94,7 +69,7 @@ let test_faulty_search_equivalence ~backend () =
     }
   in
   let o =
-    oracle ~policy ~kill_points:every_boundary ~backend ~jobs:2 ~algo:`Cfr ()
+    oracle ~policy ~kill_points:every_boundary ~backend ~jobs:2 ~algo:"cfr" ()
   in
   Alcotest.(check bool) (Selfcheck.render o) true (Selfcheck.passed o)
 
@@ -115,7 +90,7 @@ let test_oracle_catches_tampered_resume ~backend () =
   in
   let o =
     Selfcheck.run ~kill_points:[ 4 ] ~scratch ~label:"tampered" ~make_engine
-      ~search:(search_of `Cfr) ()
+      ~search:(search_of "cfr") ()
   in
   Alcotest.(check bool) "tampered resume diverges" false (Selfcheck.passed o);
   Alcotest.(check bool) "divergence names the cache" true
@@ -126,21 +101,15 @@ let test_oracle_catches_tampered_resume ~backend () =
 let cases backend =
   let matrix =
     List.concat_map
-      (fun (name, algo) ->
+      (fun algo ->
         List.map
           (fun jobs ->
             Alcotest.test_case
-              (Printf.sprintf "%s jobs=%d: kill at every boundary" name jobs)
+              (Printf.sprintf "%s jobs=%d: kill at every boundary" algo jobs)
               `Slow
               (test_kill_everywhere ~backend ~algo ~jobs))
           [ 1; 2; 4 ])
-      [
-        ("cfr", `Cfr);
-        ("cfr-adaptive", `Adaptive);
-        ("fr", `Fr);
-        ("random", `Random);
-        ("adaptive-sh", `AdaptiveSh);
-      ]
+      [ "cfr"; "cfr-adaptive"; "fr"; "random"; "adaptive-sh" ]
   in
   matrix
   @ [

@@ -671,6 +671,59 @@ let test_runner_cancel ~backend ~jobs () =
       | exception Runner.Cancelled "fp" -> ())
     [ ("cfr", 50); ("cfr-adaptive", 45) ]
 
+(* --- the search table ------------------------------------------------------ *)
+
+(* Each name in [Tuner.searches] runs its own algorithm at that
+   algorithm's defaults — the label, and bytes equal to a direct call of
+   the algorithm's module at its default top-X — and the service admits
+   exactly those names. *)
+let test_search_table () =
+  let open Funcytuner in
+  let program = Option.get (Ft_suite.Suite.find "swim") in
+  let platform = Ft_prog.Platform.Broadwell in
+  let session () =
+    Tuner.make_session ~pool_size:24
+      ~engine:(Ft_engine.Engine.create ~jobs:1 ())
+      ~platform ~program
+      ~input:(Ft_suite.Suite.tuning_input platform program)
+      ~seed:42 ()
+  in
+  let direct name (s : Tuner.session) =
+    let collection = Lazy.force s.collection in
+    match name with
+    | "cfr" -> ("CFR", Cfr.run ~top_x:Cfr.default_top_x s.ctx collection)
+    | "cfr-adaptive" ->
+        ( "CFR-adaptive",
+          Adaptive.run ~top_x:Cfr.default_top_x s.ctx collection )
+    | "adaptive-sh" ->
+        ( "CFR-SH",
+          Adaptive_sh.run ~top_x:Adaptive_sh.default_top_x s.ctx collection )
+    | "fr" -> ("FR", Fr.run s.ctx s.outline)
+    | "random" -> ("Random", Random_search.run s.ctx)
+    | other -> Alcotest.failf "unexpected search %s" other
+  in
+  List.iter
+    (fun name ->
+      let label, expected = direct name (session ()) in
+      let got = Tuner.search name (session ()) in
+      checks (name ^ ": label") label got.Result.algorithm;
+      checks
+        (name ^ ": bytes of a direct call")
+        (Result.render_exact expected) (Result.render_exact got))
+    Tuner.searches;
+  let runner = Runner.make ~engine:(Ft_engine.Engine.create ~jobs:1 ()) in
+  let validate algorithm = runner.Runner.validate (spec ~algorithm "swim") in
+  List.iter
+    (fun name -> checkb (name ^ " admitted") true (validate name = Ok ()))
+    Tuner.searches;
+  check
+    Alcotest.(result unit string)
+    "greedy rejected" (Error "unknown algorithm 'greedy'") (validate "greedy");
+  List.iter
+    (fun name ->
+      checkb (name ^ " rejected") true (Stdlib.Result.is_error (validate name)))
+    [ "opentuner"; "cobayn"; "ce"; "pgo" ]
+
 (* --- supervisor / client backoff laws ----------------------------------- *)
 
 let test_supervisor_delays () =
@@ -744,6 +797,8 @@ let suite =
         (test_runner_cancel ~backend:Ft_engine.Backend.Domains ~jobs:1);
       Alcotest.test_case "tick cancels a real search (domains jobs=2)" `Quick
         (test_runner_cancel ~backend:Ft_engine.Backend.Domains ~jobs:2);
+      Alcotest.test_case "search table: every name, its defaults" `Quick
+        test_search_table;
       Alcotest.test_case "supervisor backoff schedule law" `Quick
         test_supervisor_delays;
       Alcotest.test_case "client connect backoff law" `Quick
