@@ -88,7 +88,10 @@ smoke-trace: build
 #   3. the same holds at K=600 under the fault model, where chunk deltas
 #      carry faults, chunks hold up to 37 jobs (600 / (4 * 4 workers)) and
 #      the kill at job 400 lands past the first two chunks (about 240
-#      jobs) that every worker is fed.
+#      jobs) that every worker is fed;
+#   4. `experiment faults` builds each rate's engine from the run's flags:
+#      its table on a killed processes pool is byte-identical to
+#      --jobs 1's, and its --stats counts the crashed workers.
 smoke-procs: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-procs-d.jsonl --trace-clock logical \
@@ -113,6 +116,13 @@ smoke-procs: build
 	  > _build/smoke-procs-fk.out
 	cmp _build/smoke-procs-fd.out _build/smoke-procs-fk.out
 	cmp _build/smoke-procs-fd.jsonl _build/smoke-procs-fk.jsonl
+	$(FUNCY) experiment faults -k 30 --jobs 1 > _build/smoke-procs-xd.out
+	$(FUNCY) experiment faults -k 30 --jobs 4 --backend processes \
+	  --kill-workers-after 3 --stats > _build/smoke-procs-xk-stats.out
+	sed '/^engine telemetry:/,$$d' _build/smoke-procs-xk-stats.out \
+	  | sed '$$d' > _build/smoke-procs-xk.out
+	cmp _build/smoke-procs-xd.out _build/smoke-procs-xk.out
+	grep -Eq '^  workers +[1-9][0-9]* crashed' _build/smoke-procs-xk-stats.out
 	@echo "smoke-procs OK: processes backend byte-identical to domains, even under worker kills"
 
 # Sharded-backend smoke (see DESIGN.md section 11):
@@ -144,11 +154,17 @@ smoke-shard: build
 # each algorithm, run uninterrupted, then kill-and-resume at several
 # evaluation boundaries, and require byte-identical results, caches,
 # quarantines and normalized logical traces — on both backends, with the
-# fault model armed on the processes leg.
+# fault model armed on the processes leg.  Then the served oracle
+# (section 14) on fr alone, killed only where it acknowledges the first
+# of its two requests, as -a and --kill-at ask.
 smoke-selfcheck: build
 	$(FUNCY) selfcheck -b swim -k 60 --jobs 2
 	$(FUNCY) selfcheck -b swim -k 60 --jobs 4 --backend processes \
 	  --faults --fault-seed 7
+	$(FUNCY) selfcheck --serve -b swim -k 40 -a fr --kill-at 1 \
+	  > _build/smoke-selfcheck-serve.out
+	grep -q '^  kill at ack 1 ' _build/smoke-selfcheck-serve.out
+	! grep -q 'kill at ack 2' _build/smoke-selfcheck-serve.out
 	@echo "smoke-selfcheck OK: kill-and-resume equivalent to uninterrupted runs"
 
 # Adaptive-allocation smoke (see DESIGN.md section 15):

@@ -56,12 +56,6 @@ let seed_t =
     value & opt int 42
     & info [ "seed" ] ~docv:"N" ~doc:"Experiment seed (default 42).")
 
-let pool_t =
-  Arg.(
-    value & opt int 1000
-    & info [ "k"; "pool" ] ~docv:"K"
-        ~doc:"Pre-sampled CV pool size / evaluation budget (default 1000).")
-
 let bounded_int_arg ~what ~min_v =
   let parse s =
     match int_of_string_opt s with
@@ -72,6 +66,13 @@ let bounded_int_arg ~what ~min_v =
         Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pool_t =
+  Arg.(
+    value
+    & opt (bounded_int_arg ~what:"pool" ~min_v:1) 1000
+    & info [ "k"; "pool" ] ~docv:"K"
+        ~doc:"Pre-sampled CV pool size / evaluation budget (default 1000).")
 
 let jobs_t =
   Arg.(
@@ -177,13 +178,17 @@ let engine_spec_t =
           ~doc:
             "Arm the deterministic fault-injection model: compile \
              failures, crashes, wrong answers, hangs and timing outliers, \
-             all reproducible from $(b,--fault-seed) at any $(b,--jobs).")
+             all reproducible from $(b,--fault-seed) at any $(b,--jobs).  \
+             $(b,experiment faults) sets its own rates, so there it arms \
+             only the engine the other experiments run on.")
   in
   let rate_t =
     Arg.(
       value & opt rate_arg 0.1
       & info [ "fault-rate" ] ~docv:"R"
-          ~doc:"Overall injected fault rate in [0,1] (default 0.1).")
+          ~doc:
+            "Overall injected fault rate in [0,1] (default 0.1); not the \
+             rates $(b,experiment faults) sweeps.")
   in
   let fault_seed_t =
     Arg.(
@@ -509,7 +514,7 @@ let tune_cmd =
   let top_x_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (bounded_int_arg ~what:"top-x" ~min_v:1)) None
       & info [ "top-x" ] ~docv:"X"
           ~doc:
             "Space-focusing width (default: each algorithm's own — 20 \
@@ -518,7 +523,7 @@ let tune_cmd =
   let budget_t =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (bounded_int_arg ~what:"budget" ~min_v:1)) None
       & info [ "budget" ] ~docv:"N"
           ~doc:
             "adaptive-sh only: total measurement budget for the \
@@ -655,7 +660,11 @@ let selfcheck_cmd =
           ~doc:
             "Evaluation boundaries to kill at (comma-separated), clamped \
              to the reference run's range.  Default: the first, a middle \
-             and the last boundary.")
+             and the last boundary.  Under $(b,--serve) these are \
+             request-acknowledgement boundaries instead: N kills the \
+             daemon as it acknowledges the Nth request, values outside 1 \
+             to the request count are dropped, and the default is every \
+             boundary.")
   in
   let serve_t =
     Arg.(
@@ -663,17 +672,19 @@ let selfcheck_cmd =
       & info [ "serve" ]
           ~doc:
             "Instead of the checkpoint/resume oracle, run the \
-             kill-restart equivalence oracle for the tuning service: a \
-             supervised, journalled daemon is SIGKILLed at every \
-             request boundary and mid-search, clients \
-             reconnect-and-resume, and every delivered result must be \
-             byte-identical to an unkilled daemon's and to a solo run; \
-             a spec that keeps crashing the daemon must end as a typed \
+             kill-restart equivalence oracle for the tuning service on \
+             two requests (seeds $(b,--seed) and $(b,--seed) + 1) per \
+             selected search: a supervised, journalled daemon is \
+             SIGKILLed at each $(b,--kill-at) request boundary and \
+             mid-search, clients reconnect-and-resume, and every \
+             delivered result must be byte-identical to an unkilled \
+             daemon's and to a solo run; a spec of the first selected \
+             search that keeps crashing the daemon must end as a typed \
              poisoned rejection.  Exits 1 on any divergence.")
   in
   (* The service-side oracle: forked supervised daemons, so it must run
      before this process spawns any domain. *)
-  let run_serve_oracle program platform seed pool spec =
+  let run_serve_oracle program platform seed pool spec algos kill_points =
     with_scratch_dir @@ fun scratch ->
     let make_runner ~state_dir =
       let make_engine ?cache ?quarantine ?checkpoint () =
@@ -682,34 +693,39 @@ let selfcheck_cmd =
       Ft_serve.Runner.make_durable ~make_engine ~state_dir ~checkpoint_every:8
         ()
     in
-    let tune_spec s =
+    let tune_spec algorithm seed =
       {
         Ft_serve.Protocol.benchmark = program.Program.name;
         platform = Platform.short_name platform;
-        algorithm = "cfr";
-        seed = s;
+        algorithm;
+        seed;
         pool;
         top_x = None;
       }
     in
     let specs =
-      [ ("sc-1", "t0", tune_spec seed); ("sc-2", "t1", tune_spec (seed + 1)) ]
+      List.concat_map (fun a -> [ tune_spec a seed; tune_spec a (seed + 1) ])
+        algos
+      |> List.mapi (fun i spec ->
+             (Printf.sprintf "sc-%d" (i + 1), Printf.sprintf "t%d" (i mod 2),
+              spec))
     in
     let outcome =
-      Ft_serve.Servecheck.run ~scratch ~make_runner ~specs
-        ~poison:("sc-poison", "t0", tune_spec (seed + 2))
+      Ft_serve.Servecheck.run ?kill_points ~scratch ~make_runner ~specs
+        ~poison:("sc-poison", "t0", tune_spec (List.hd algos) (seed + 2))
         ()
     in
     print_string (Ft_serve.Servecheck.render outcome);
     if not (Ft_serve.Servecheck.passed outcome) then exit 1
   in
   let run program platform seed pool spec algos_selected kill_at serve =
-    if serve then run_serve_oracle program platform seed pool spec
-    else begin
-    let input = Ft_suite.Suite.tuning_input platform program in
     let algos_selected =
       match algos_selected with [] -> Tuner.searches | l -> l
     in
+    if serve then
+      run_serve_oracle program platform seed pool spec algos_selected kill_at
+    else begin
+    let input = Ft_suite.Suite.tuning_input platform program in
     with_scratch_dir @@ fun scratch ->
     let failures =
       List.filter
@@ -845,10 +861,19 @@ let experiment_cmd =
       | "fig9" -> emit "fig9" (Casestudy.fig9 lab)
       | "tab3" -> Ft_util.Table.print (Casestudy.table3 lab)
       | "faults" ->
+          (* Each rate's engine is the run's, with only the fault model
+             swapped; it shares the run's cache, telemetry and trace, but
+             takes a fresh quarantine and no checkpoint. *)
+          let rate_engine faults =
+            engine_of
+              { spec with policy = { spec.policy with Engine.faults } }
+              ~cache:(Engine.cache engine)
+              ~telemetry:(Engine.telemetry engine)
+              ?trace:(Engine.trace engine) ()
+          in
           emit "faults"
-            (Faults.run ~telemetry:(Lab.telemetry lab)
-               ~fault_seed:spec.fault_seed ~seed ~pool_size:pool
-               ~jobs:spec.jobs ())
+            (Faults.run ~engine:rate_engine ~fault_seed:spec.fault_seed ~seed
+               ~pool_size:pool ())
       | "ablations" ->
           emit "topx" (Ablations.top_x_sweep lab);
           Ft_util.Table.print (Ablations.convergence lab);

@@ -20,7 +20,6 @@ type t = {
 }
 
 let lanes = function Scalar -> 1 | W128 -> 2 | W256 -> 4
-let width_bits = function Scalar -> 64 | W128 -> 128 | W256 -> 256
 let width_name = function Scalar -> "S" | W128 -> "128" | W256 -> "256"
 
 let summary t =

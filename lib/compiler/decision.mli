@@ -38,9 +38,6 @@ type t = {
 val lanes : width -> int
 (** SIMD lanes for 64-bit elements: 1, 2 or 4. *)
 
-val width_bits : width -> int
-(** 64, 128 or 256. *)
-
 val width_name : width -> string
 (** ["S"], ["128"] or ["256"] — Table 3 notation. *)
 

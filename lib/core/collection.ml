@@ -74,9 +74,6 @@ let collect (ctx : Context.t) (outline : Outline.t) =
     outcomes;
   { outline; pool = ctx.Context.pool; modules; times; totals; valid }
 
-let valid_count t =
-  Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 t.valid
-
 let module_index t name =
   let found = ref None in
   Array.iteri (fun j m -> if m = name then found := Some j) t.modules;

@@ -28,9 +28,6 @@ val collect : Context.t -> Ft_outline.Outline.t -> t
     faulted columns are marked invalid instead of aborting the
     collection. *)
 
-val valid_count : t -> int
-(** Number of pool CVs that survived collection. *)
-
 val module_index : t -> string -> int option
 (** Row of a module name. *)
 

@@ -1,6 +1,5 @@
 module Rng = Ft_util.Rng
 module Toolchain = Ft_machine.Toolchain
-module Exec = Ft_machine.Exec
 module Engine = Ft_engine.Engine
 module Trace = Ft_obs.Trace
 
@@ -14,11 +13,8 @@ type t = {
   engine : Engine.t;
 }
 
-let make ?(pool_size = 1000) ?jobs ?backend ?engine ~toolchain ~program ~input
-    ~seed () =
-  let engine =
-    match engine with Some e -> e | None -> Engine.create ?jobs ?backend ()
-  in
+let make ?(pool_size = 1000) ?(engine = Engine.create ()) ~toolchain ~program
+    ~input ~seed () =
   let rng = Rng.create seed in
   let pool = Ft_flags.Space.sample_pool (Rng.of_label rng "pool") pool_size in
   let baseline_s =
@@ -31,14 +27,6 @@ let stream t label = Rng.of_label t.rng label
 let engine t = t.engine
 let telemetry t = Engine.telemetry t.engine
 let trace t = Engine.trace t.engine
-
-let measure_uniform t ~rng cv =
-  let m =
-    Engine.measure_one t.engine ~toolchain:t.toolchain ~program:t.program
-      ~input:t.input
-      { Engine.build = Engine.Uniform { cv; instrumented = false }; rng }
-  in
-  m.Exec.elapsed_s
 
 let try_measure_uniform t ~rng cv =
   Engine.try_measure_one t.engine ~toolchain:t.toolchain ~program:t.program

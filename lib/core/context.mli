@@ -21,8 +21,6 @@ type t = {
 
 val make :
   ?pool_size:int ->
-  ?jobs:int ->
-  ?backend:Ft_engine.Backend.t ->
   ?engine:Ft_engine.Engine.t ->
   toolchain:Ft_machine.Toolchain.t ->
   program:Ft_prog.Program.t ->
@@ -33,10 +31,10 @@ val make :
 (** Build a session.  [pool_size] defaults to 1000 (the paper's K).  The
     pool is drawn from a stream derived from [seed] alone, so two sessions
     with the same seed share the same pool regardless of evaluation
-    order.  [jobs] (default 1 = sequential) sizes a fresh engine's worker
-    pool and [backend] (default domains) picks its execution substrate;
-    pass [engine] instead to share one engine — cache and telemetry
-    included — across sessions.  Results are independent of all three. *)
+    order.  [engine] defaults to a fresh sequential {!Ft_engine.Engine};
+    pass one to choose the workers and backend, or to share one engine —
+    cache and telemetry included — across sessions.  Results are
+    independent of the engine's configuration. *)
 
 val stream : t -> string -> Ft_util.Rng.t
 (** A labelled child stream (e.g. ["fr"], ["cfr:measure"]), independent of
@@ -50,16 +48,13 @@ val telemetry : t -> Ft_obs.Telemetry.t
 val trace : t -> Ft_obs.Trace.t option
 (** The session engine's trace buffer, if one is attached ([--trace]). *)
 
-val measure_uniform : t -> rng:Ft_util.Rng.t -> Ft_flags.Cv.t -> float
-(** Compile the whole program with one CV (traditional model), run it on
-    the session input, return noisy end-to-end seconds. *)
-
 val try_measure_uniform :
   t -> rng:Ft_util.Rng.t -> Ft_flags.Cv.t -> Ft_engine.Engine.job_outcome
-(** Outcome-typed {!measure_uniform}: under an armed fault model the CV
-    may fail to build, crash, miscompile or time out; searches treat any
-    non-[Ok] outcome as an unusable configuration rather than an
-    exception. *)
+(** Compile the whole program with one CV (traditional model), run it on
+    the session input and return the outcome: [Ok] carries the noisy
+    end-to-end measurement.  Under an armed fault model the CV may fail
+    to build, crash, miscompile or time out; searches treat any non-[Ok]
+    outcome as an unusable configuration rather than an exception. *)
 
 val evaluate_uniform : t -> Ft_flags.Cv.t -> float
 (** Noise-free runtime of a whole-program build — used to {e report} a

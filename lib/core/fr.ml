@@ -3,14 +3,6 @@ module Exec = Ft_machine.Exec
 module Rng = Ft_util.Rng
 module Engine = Ft_engine.Engine
 
-let measure_assignment (ctx : Context.t) outline ~rng assignment =
-  let m =
-    Engine.measure_one ctx.Context.engine ~toolchain:ctx.Context.toolchain
-      ~outline ~program:ctx.Context.program ~input:ctx.Context.input
-      { Engine.build = Engine.Assigned { assignment; instrumented = false }; rng }
-  in
-  m.Exec.elapsed_s
-
 let try_measure_assignment (ctx : Context.t) outline ~rng assignment =
   Engine.try_measure_one ctx.Context.engine ~toolchain:ctx.Context.toolchain
     ~outline ~program:ctx.Context.program ~input:ctx.Context.input

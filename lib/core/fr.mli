@@ -10,23 +10,15 @@
 val run : Context.t -> Ft_outline.Outline.t -> Result.t
 (** K assembled-variant evaluations. *)
 
-val measure_assignment :
-  Context.t ->
-  Ft_outline.Outline.t ->
-  rng:Ft_util.Rng.t ->
-  (string * Ft_flags.Cv.t) list ->
-  float
-(** Compile modules under an explicit module→CV assignment, link, run once
-    on the session input; returns noisy seconds.  Shared by FR, greedy
-    combination and CFR (they differ only in how assignments are chosen). *)
-
 val try_measure_assignment :
   Context.t ->
   Ft_outline.Outline.t ->
   rng:Ft_util.Rng.t ->
   (string * Ft_flags.Cv.t) list ->
   Ft_engine.Engine.job_outcome
-(** Outcome-typed {!measure_assignment} for fault-aware callers. *)
+(** Compile modules under an explicit module→CV assignment, link, run once
+    on the session input and return the outcome ([Ok] carries the noisy
+    measurement; a faulted build or run is a typed non-[Ok] outcome). *)
 
 val o3_assignment :
   Ft_outline.Outline.t -> (string * Ft_flags.Cv.t) list

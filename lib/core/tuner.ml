@@ -8,16 +8,14 @@ type session = {
   collection : Collection.t Lazy.t;
 }
 
-let make_session ?pool_size ?threshold ?jobs ?backend ?engine ~platform
-    ~program ~input ~seed () =
+let make_session ?pool_size ?engine ~platform ~program ~input ~seed () =
   let toolchain = Toolchain.make platform in
   let ctx =
-    Context.make ?pool_size ?jobs ?backend ?engine ~toolchain ~program ~input
-      ~seed ()
+    Context.make ?pool_size ?engine ~toolchain ~program ~input ~seed ()
   in
   let outline =
     Ft_obs.Trace.span (Context.trace ctx) Ft_obs.Event.Profile (fun () ->
-        Outline.outline ~toolchain ~program ~input ?threshold
+        Outline.outline ~toolchain ~program ~input
           ~rng:(Context.stream ctx "profile")
           ())
   in

@@ -15,9 +15,6 @@ type session = {
 
 val make_session :
   ?pool_size:int ->
-  ?threshold:float ->
-  ?jobs:int ->
-  ?backend:Ft_engine.Backend.t ->
   ?engine:Ft_engine.Engine.t ->
   platform:Ft_prog.Platform.t ->
   program:Ft_prog.Program.t ->
@@ -25,12 +22,10 @@ val make_session :
   seed:int ->
   unit ->
   session
-(** Profile at O3, outline hot loops (≥ [threshold], default 1 %), prepare
-    the CV pool.  The collection happens on first use.  [jobs] (default 1)
-    sizes the evaluation engine's worker pool and [backend] (default
-    domains) its execution substrate — reports are bit-identical at any
-    setting of either; [engine] shares an existing engine (cache +
-    telemetry) instead. *)
+(** Profile at O3, outline hot loops (≥ 1 % of the runtime), prepare the
+    CV pool.  The collection happens on first use.  [pool_size] and
+    [engine] are {!Context.make}'s: the engine defaults to a fresh
+    sequential one, and reports are bit-identical on any engine. *)
 
 type report = {
   random : Result.t;

@@ -44,8 +44,6 @@ type job_outcome =
   | Timed_out of float
   | Worker_crashed of string
 
-exception Job_failed of job_outcome
-
 let elapsed = function
   | Ok m -> Some m.Exec.elapsed_s
   | Timed_out s -> Some s
@@ -73,18 +71,6 @@ let reason_tag = function
   | Quarantine.Crashed _ -> "crashed"
   | Quarantine.Wrong_answer -> "wrong-answer"
   | Quarantine.Timed_out _ -> "timed-out"
-
-(* Only terminal (quarantinable) outcomes map to a reason; [Ok] does not.
-   A worker crash shares the [Crashed] reason with a ["worker: "] prefix:
-   quarantine is a persisted format and the distinction is diagnostic,
-   not behavioral. *)
-let reason_of_outcome = function
-  | Ok _ -> None
-  | Build_failed m -> Some (Quarantine.Build_failed m)
-  | Crashed d -> Some (Quarantine.Crashed d)
-  | Wrong_answer -> Some Quarantine.Wrong_answer
-  | Timed_out s -> Some (Quarantine.Timed_out s)
-  | Worker_crashed d -> Some (Quarantine.Crashed ("worker: " ^ d))
 
 let outcome_of_reason = function
   | Quarantine.Build_failed m -> Build_failed m
@@ -146,14 +132,10 @@ let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
     journal = None;
   }
 
-let jobs t = t.jobs
-let backend t = t.backend
-let nodes t = t.nodes
 let cache t = t.cache
 let telemetry t = t.telemetry
 let policy t = t.policy
 let quarantine t = t.quarantine
-let checkpoint t = t.checkpoint
 let trace t = t.trace
 
 (* Report one fact, once: counted by the one rule and recorded by the one
@@ -437,13 +419,6 @@ let quarantine_add t key reason =
     checkpoint_tick t
   end
 
-(* Simulated exponential backoff: recorded as wall-clock the policy would
-   have spent, without actually sleeping (faults are simulated; so is the
-   waiting). *)
-let backoff_s policy attempt =
-  Float.min policy.backoff_cap_s
-    (policy.backoff_base_s *. (2.0 ** float_of_int attempt))
-
 (* Draw the job's measurement: [repeats] samples from the job's private
    stream, each possibly inflated into a heavy-tailed outlier by the fault
    model, reduced to one robust representative.  With [repeats = 1] and no
@@ -507,8 +482,14 @@ let run_job t c ~key_str { build; rng } =
                 (sample_measurement t ~key:key_str ~rng
                    ~instrumented:(instrumented build) s)
           | Some f ->
+              (* The backoff is simulated: recorded as the wall-clock the
+                 policy would have spent, never slept (faults are
+                 simulated; so is the waiting). *)
               let retry attempt k =
-                let wait = backoff_s t.policy attempt in
+                let wait =
+                  Rng.backoff ~base:t.policy.backoff_base_s
+                    ~cap:t.policy.backoff_cap_s attempt
+                in
                 note t
                   (Event.Retry { key = key_str; attempt; backoff_s = wait });
                 note t (Event.Timer { name = "backoff"; seconds = wait });
@@ -592,11 +573,6 @@ let measure_and_tick t c job =
 
 let try_measure_one t ~toolchain ?outline ~program ~input job =
   measure_and_tick t (resolve ~toolchain ?outline ~program ~input ()) job
-
-let measure_one t ~toolchain ?outline ~program ~input job =
-  match try_measure_one t ~toolchain ?outline ~program ~input job with
-  | Ok m -> m
-  | outcome -> raise (Job_failed outcome)
 
 (* -- the forked backends -------------------------------------------------- *)
 

@@ -82,19 +82,8 @@ type job_outcome =
           attempt the retry budget allowed; payload is the last crash
           detail.  Quarantined as [Crashed ("worker: " ^ detail)]. *)
 
-exception Job_failed of job_outcome
-(** Raised by {!measure_one} for any non-[Ok] outcome.  Never raised
-    when the policy has no fault model. *)
-
-val elapsed : job_outcome -> float option
-(** Wall time of the job, where one is defined: the measurement's for
-    [Ok], the kill time for [Timed_out], [None] otherwise. *)
-
 val outcome_to_string : job_outcome -> string
 (** Short human-readable rendering, e.g. ["crashed(persistent crash)"]. *)
-
-val reason_of_outcome : job_outcome -> Quarantine.reason option
-(** The quarantine reason a terminal outcome records ([None] for [Ok]). *)
 
 type t
 
@@ -139,18 +128,10 @@ val create :
     [policy.repeats < 1], [policy.max_retries < 0],
     [policy.timeout_s <= 0] or [kill_workers_after < 0]. *)
 
-val jobs : t -> int
-val backend : t -> Backend.t
-
-val nodes : t -> int
-(** Worker count for the sharded backend (1 unless set; ignored by the
-    other backends, as [jobs] is by the sharded one). *)
-
 val cache : t -> Cache.t
 val telemetry : t -> Ft_obs.Telemetry.t
 val policy : t -> policy
 val quarantine : t -> Quarantine.t
-val checkpoint : t -> Checkpoint.t option
 val trace : t -> Ft_obs.Trace.t option
 
 val timed : t -> string -> (unit -> 'a) -> 'a
@@ -207,17 +188,6 @@ val evaluate :
 (** [(summary ...).sum_total_s]: the cached noise-free end-to-end time.
     Never faulted — searches use it to confirm a winner. *)
 
-val measure_one :
-  t ->
-  toolchain:Ft_machine.Toolchain.t ->
-  ?outline:Ft_outline.Outline.t ->
-  program:Ft_prog.Program.t ->
-  input:Ft_prog.Input.t ->
-  job ->
-  Ft_machine.Exec.measurement
-(** One noisy measurement, drawn from the job's own stream on top of the
-    cached summary.  @raise Job_failed on any injected fault outcome. *)
-
 val try_measure_one :
   t ->
   toolchain:Ft_machine.Toolchain.t ->
@@ -226,10 +196,11 @@ val try_measure_one :
   input:Ft_prog.Input.t ->
   job ->
   job_outcome
-(** Outcome-typed version of {!measure_one}: quarantine lookup, per-module
-    ICE check, retry/backoff loop, output validation and robust repeat
-    aggregation, never raising for an injected fault.  Ticks progress
-    once, as a batch does per job. *)
+(** One job's outcome: quarantine lookup, per-module ICE check,
+    retry/backoff loop, output validation and robust repeat aggregation,
+    never raising for an injected fault.  [Ok] carries one noisy
+    measurement, drawn from the job's own stream on top of the cached
+    summary.  Ticks progress once, as a batch does per job. *)
 
 val try_measure_batch :
   t ->

@@ -4,12 +4,6 @@ type reason =
   | Wrong_answer
   | Timed_out of float
 
-let reason_to_string = function
-  | Build_failed m -> Printf.sprintf "build-failed(%s)" m
-  | Crashed d -> Printf.sprintf "crashed(%s)" d
-  | Wrong_answer -> "wrong-answer"
-  | Timed_out s -> Printf.sprintf "timed-out(%.1fs)" s
-
 type t = {
   table : (string, reason) Hashtbl.t;
   lock : Mutex.t;

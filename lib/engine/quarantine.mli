@@ -20,9 +20,6 @@ type reason =
   | Wrong_answer  (** output validation failed: miscompiled binary *)
   | Timed_out of float  (** simulated elapsed seconds when killed *)
 
-val reason_to_string : reason -> string
-(** Short human-readable rendering, e.g. ["build-failed(mod_3)"]. *)
-
 type t
 
 val create : unit -> t

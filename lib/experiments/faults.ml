@@ -1,21 +1,16 @@
 open Ft_prog
 module Tuner = Funcytuner.Tuner
 module Result = Funcytuner.Result
-module Engine = Ft_engine.Engine
 
 let rates = [ 0.0; 0.05; 0.1; 0.2; 0.3 ]
 let columns = [ "Random"; "FR"; "CFR" ]
 
-let row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate =
-  let policy =
-    if rate = 0.0 then Engine.default_policy
-    else
-      {
-        Engine.default_policy with
-        Engine.faults = Some (Ft_fault.Fault.make ~seed:fault_seed ~rate ());
-      }
+let row ~engine ~fault_seed ~seed ~pool_size rate =
+  let engine =
+    engine
+      (if rate = 0.0 then None
+       else Some (Ft_fault.Fault.make ~seed:fault_seed ~rate ()))
   in
-  let engine = Engine.create ~jobs ?telemetry ~policy () in
   let program = Option.get (Ft_suite.Suite.find "363.swim") in
   let platform = Platform.Broadwell in
   let input = Ft_suite.Suite.tuning_input platform program in
@@ -28,12 +23,12 @@ let row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate =
   let cfr = Tuner.run_cfr session in
   [ random.Result.speedup; fr.Result.speedup; cfr.Result.speedup ]
 
-let run ?telemetry ?(fault_seed = 1) ~seed ~pool_size ~jobs () =
+let run ~engine ?(fault_seed = 1) ~seed ~pool_size () =
   let rows =
     List.map
       (fun rate ->
         ( Printf.sprintf "%g%%" (rate *. 100.0),
-          row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate ))
+          row ~engine ~fault_seed ~seed ~pool_size rate ))
       rates
   in
   Series.make

@@ -27,5 +27,3 @@ let panel lab platform =
             (Platform.short_name platform)
             (Platform.name platform))
        ~columns rows)
-
-let run lab = List.map (panel lab) Platform.all

@@ -11,6 +11,3 @@ val columns : string list
 
 val panel : Lab.t -> Ft_prog.Platform.t -> Series.t
 (** One platform's panel (Fig. 5a/b/c), GM row included. *)
-
-val run : Lab.t -> Series.t list
-(** All three panels, in the paper's order. *)

@@ -55,5 +55,3 @@ let panel lab ~small =
             (if small then "a" else "b")
             (if small then "small" else "large"))
        ~columns rows)
-
-let run lab = [ panel lab ~small:true; panel lab ~small:false ]

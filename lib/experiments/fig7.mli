@@ -18,8 +18,6 @@ val columns : string list
 val panel : Lab.t -> small:bool -> Series.t
 (** Fig. 7a ([small:true]) or 7b ([small:false]); GM row included. *)
 
-val run : Lab.t -> Series.t list
-
 val row :
   Lab.t -> Ft_prog.Program.t -> input:Ft_prog.Input.t -> float list
 (** One benchmark's cells on an arbitrary input (shared with Fig. 8). *)

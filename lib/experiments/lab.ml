@@ -15,20 +15,16 @@ type t = {
   pgo_runs : (string, Ft_baselines.Pgo_driver.t) Hashtbl.t;
 }
 
-let create ?(seed = 42) ?(pool_size = 1000) ?(top_x = 20) ?(jobs = 1) ?policy
-    ?engine () =
+(* One engine for the whole lab: the measurement cache is shared by every
+   (benchmark, platform) cell — keys embed program, platform and input, so
+   cells never collide — and telemetry aggregates across the whole run. *)
+let create ?(seed = 42) ?(pool_size = 1000) ?(top_x = 20)
+    ?(engine = Ft_engine.Engine.create ()) () =
   {
     seed;
     pool_size;
     top_x;
-    (* One engine for the whole lab: the measurement cache is shared by
-       every (benchmark, platform) cell — keys embed program, platform and
-       input, so cells never collide — and telemetry aggregates across the
-       whole run. *)
-    engine =
-      (match engine with
-      | Some e -> e
-      | None -> Ft_engine.Engine.create ~jobs ?policy ());
+    engine;
     sessions = Hashtbl.create 32;
     reports = Hashtbl.create 32;
     opentuner_runs = Hashtbl.create 8;
@@ -37,10 +33,7 @@ let create ?(seed = 42) ?(pool_size = 1000) ?(top_x = 20) ?(jobs = 1) ?policy
     pgo_runs = Hashtbl.create 8;
   }
 
-let seed t = t.seed
 let pool_size t = t.pool_size
-let engine t = t.engine
-let telemetry t = Ft_engine.Engine.telemetry t.engine
 let rng t label = Rng.of_label (Rng.create t.seed) label
 
 let memo table key compute =

@@ -13,27 +13,16 @@ val create :
   ?seed:int ->
   ?pool_size:int ->
   ?top_x:int ->
-  ?jobs:int ->
-  ?policy:Ft_engine.Engine.policy ->
   ?engine:Ft_engine.Engine.t ->
   unit ->
   t
-(** Defaults: seed 42, K = 1000, top-X = 20, jobs 1 (sequential engine).
-    All results are bit-identical for any [jobs] value.  [policy] arms the
-    lab engine's fault model / timeout / repeats; pass a pre-built
-    [engine] instead (e.g. with a checkpoint attached) to override
-    everything, in which case [jobs] and [policy] are ignored. *)
+(** Defaults: seed 42, K = 1000, top-X = 20 and a fresh sequential
+    engine.  Every session runs on [engine], so the lab shares one worker
+    pool, one measurement cache and one telemetry record; its workers,
+    backend and fault policy are the engine's, and results are
+    bit-identical for any workers and backend. *)
 
-val seed : t -> int
 val pool_size : t -> int
-
-val engine : t -> Ft_engine.Engine.t
-(** The lab-wide evaluation engine: one worker pool, one measurement cache
-    and one telemetry record shared by every session. *)
-
-val telemetry : t -> Ft_obs.Telemetry.t
-(** Aggregated counters/timers across every experiment run so far (the
-    [--stats] source). *)
 
 val session :
   t -> Ft_prog.Platform.t -> Ft_prog.Program.t -> Funcytuner.Tuner.session
@@ -45,9 +34,6 @@ val report :
 
 val opentuner : t -> Ft_prog.Program.t -> Ft_opentuner.Ensemble.t
 (** Cached OpenTuner run on Broadwell. *)
-
-val cobayn_model : t -> Ft_cobayn.Features.variant -> Ft_cobayn.Model.t
-(** Cached trained model (training happens once per variant). *)
 
 val cobayn :
   t -> Ft_cobayn.Features.variant -> Ft_prog.Program.t -> Funcytuner.Result.t

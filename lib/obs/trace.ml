@@ -2,11 +2,6 @@ type clock = Wall | Logical
 
 let clock_name = function Wall -> "wall" | Logical -> "logical"
 
-let clock_of_name = function
-  | "wall" -> Some Wall
-  | "logical" -> Some Logical
-  | _ -> None
-
 type stamped = {
   serial : int;
   job : int;
@@ -245,8 +240,6 @@ let normalize_event = function
      saved the snapshot — is dropped or projected as a logical clock
      does. *)
   | e -> Event.logical e
-
-let resume_invariant st = Option.is_some (normalize_event st.event)
 
 let normalized_lines ?(is_quarantined = fun _ -> false) t =
   List.filter_map

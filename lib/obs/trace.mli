@@ -44,8 +44,6 @@ type clock = Wall | Logical
 val clock_name : clock -> string
 (** ["wall"] / ["logical"]. *)
 
-val clock_of_name : string -> clock option
-
 type t
 
 val create : ?clock:clock -> unit -> t
@@ -140,11 +138,6 @@ val cache_lookup : t option -> key:string -> hit:bool -> unit
     cache queries, outlier degradations, phase spans, prune decisions,
     adaptive-sh rung decisions — must be byte-identical between a fresh
     and a resumed run, at any [--jobs] count, on either backend. *)
-
-val resume_invariant : stamped -> bool
-(** Does this event's {e kind} survive normalization?  (The per-key
-    [Cache_query] rule needs quarantine context this predicate does not
-    have; it treats all cache queries as invariant.) *)
 
 val normalized_lines : ?is_quarantined:(string -> bool) -> t -> string list
 (** The resume-invariant skeleton of the trace: events in canonical

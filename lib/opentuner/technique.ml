@@ -3,14 +3,3 @@ type t = {
   propose : unit -> Ft_flags.Cv.t;
   feedback : Ft_flags.Cv.t -> float -> unit;
 }
-
-let seeded_best results =
-  match !results with
-  | [] -> None
-  | (cv0, c0) :: rest ->
-      let best =
-        List.fold_left
-          (fun (cv, c) (cv', c') -> if c' < c then (cv', c') else (cv, c))
-          (cv0, c0) rest
-      in
-      Some (fst best)

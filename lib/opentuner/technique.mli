@@ -13,7 +13,3 @@ type t = {
       (** measured cost (seconds) of a configuration this technique
           proposed *)
 }
-
-val seeded_best : (Ft_flags.Cv.t * float) list ref -> Ft_flags.Cv.t option
-(** Helper: current global best from a shared results cell (techniques
-    such as hill climbers restart from it). *)

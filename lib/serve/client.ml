@@ -13,17 +13,15 @@ let failure_to_string = function
   | Transport msg -> "transport: " ^ msg
   | Protocol_violation msg -> "protocol violation: " ^ msg
 
-(* Connect retry backoff: capped exponential with deterministic seeded
-   jitter.  Attempt k sleeps base·2^k scaled by a uniform factor in
-   [0.5, 1.5), clamped to cap — the jitter de-synchronizes a herd of
-   clients all waiting for one daemon to (re)bind its socket, and the
-   seed keeps any one client's schedule reproducible. *)
+(* Connect retry backoff: the jittered {!Rng.backoff} law — the jitter
+   de-synchronizes a herd of clients all waiting for one daemon to
+   (re)bind its socket, and the seed keeps any one client's schedule
+   reproducible. *)
 let backoff_base_s = 0.01
 let backoff_cap_s = 0.5
 
 let backoff_delay rng attempt =
-  let exp = backoff_base_s *. (2.0 ** float_of_int attempt) in
-  Float.min backoff_cap_s (exp *. (0.5 +. Rng.float rng 1.0))
+  Rng.backoff ~rng ~base:backoff_base_s ~cap:backoff_cap_s attempt
 
 let backoff_schedule ~seed n =
   let rng = Rng.create seed in

@@ -100,5 +100,4 @@ val load : ?warn:(line:int -> reason:string -> unit) -> string -> replay
 
 (* Exposed for the truncation property tests. *)
 val record_to_json : record -> Ft_obs.Json.t
-val record_of_line : string -> (record, string) result
 val format_magic : string

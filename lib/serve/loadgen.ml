@@ -131,28 +131,30 @@ let finish flight =
   flight.terminal <- true;
   try Unix.close flight.fd with Unix.Unix_error _ -> ()
 
-let retry_delay attempts =
-  Float.min 0.5 (0.05 *. (2.0 ** float_of_int attempts))
-
-(* The stream died without a terminal response.  Under [reconnect] that
-   is the expected signature of a daemon crash: resend the same id after
-   a short backoff (ids are idempotent against the daemon's journal).
+(* A send that failed, or a stream that died without a terminal
+   response.  Under [reconnect] that is the expected signature of a
+   daemon crash: resend the same id after a short backoff (ids are
+   idempotent against the daemon's journal), while attempts remain.
    Otherwise it is a protocol error. *)
-let broken config tally flight =
-  if config.reconnect && flight.attempts + 1 < config.max_attempts then begin
+let retry_or_fail config tally ~id ~tenant ~spec ~t0 ~attempts =
+  if config.reconnect && attempts + 1 < config.max_attempts then begin
     tally.reconnects <- tally.reconnects + 1;
     tally.retries <-
       {
-        r_id = flight.id;
-        r_tenant = flight.tenant;
-        r_spec = flight.spec;
-        r_t0 = flight.t0;
-        r_attempts = flight.attempts + 1;
-        r_at = Clock.now () +. retry_delay flight.attempts;
+        r_id = id;
+        r_tenant = tenant;
+        r_spec = spec;
+        r_t0 = t0;
+        r_attempts = attempts + 1;
+        r_at = Clock.now () +. Rng.backoff ~base:0.05 ~cap:0.5 attempts;
       }
       :: tally.retries
   end
-  else tally.errors <- tally.errors + 1;
+  else tally.errors <- tally.errors + 1
+
+let broken config tally flight =
+  retry_or_fail config tally ~id:flight.id ~tenant:flight.tenant
+    ~spec:flight.spec ~t0:flight.t0 ~attempts:flight.attempts;
   finish flight
 
 let handle_response tally flight = function
@@ -218,20 +220,7 @@ let send config tally ~id ~tenant ~t0 ~attempts spec =
         }
   | exception Unix.Unix_error _ ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      if config.reconnect && attempts + 1 < config.max_attempts then begin
-        tally.reconnects <- tally.reconnects + 1;
-        tally.retries <-
-          {
-            r_id = id;
-            r_tenant = tenant;
-            r_spec = spec;
-            r_t0 = t0;
-            r_attempts = attempts + 1;
-            r_at = Clock.now () +. retry_delay attempts;
-          }
-          :: tally.retries
-      end
-      else tally.errors <- tally.errors + 1;
+      retry_or_fail config tally ~id ~tenant ~spec ~t0 ~attempts;
       None
 
 let launch config tally rng cdf catalog n =

@@ -18,13 +18,12 @@ let exit_status_to_string = function
 
 type outcome = { generations : int; last : exit_status; clean : bool }
 
-(* Capped exponential backoff with deterministic jitter: respawn [k]
-   waits [min cap (base·2^k·u)] where [u] ~ U[0.5, 1.5) from a generator
-   seeded by [config.seed] — the same schedule every run, but spread so
-   a fleet of supervisors sharing a seed base does not thunder. *)
+(* Respawn [k] waits the jittered {!Rng.backoff} delay, drawn from a
+   generator seeded by [config.seed] — the same schedule every run, but
+   spread so a fleet of supervisors sharing a seed base does not
+   thunder. *)
 let delay config rng k =
-  let base = config.backoff_base_s *. (2.0 ** float_of_int k) in
-  Float.min config.backoff_cap_s (base *. (0.5 +. Rng.float rng 1.0))
+  Rng.backoff ~rng ~base:config.backoff_base_s ~cap:config.backoff_cap_s k
 
 let delays config n =
   let rng = Rng.create config.seed in

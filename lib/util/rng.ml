@@ -106,6 +106,12 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
+let backoff ?rng ~base ~cap k =
+  let exp = base *. (2.0 ** float_of_int k) in
+  match rng with
+  | None -> Float.min cap exp
+  | Some rng -> Float.min cap (exp *. (0.5 +. float rng 1.0))
+
 let sample_without_replacement t k n =
   if k < 0 || k > n then
     invalid_arg "Rng.sample_without_replacement: need 0 <= k <= n";

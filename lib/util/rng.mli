@@ -65,6 +65,13 @@ val choose_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
+val backoff : ?rng:t -> base:float -> cap:float -> int -> float
+(** The one capped exponential backoff law: the delay before retry [k]
+    (counting from 0) is [min cap (base·2^k)], or with [rng]
+    [min cap (base·2^k·(0.5 + u))], where [u] ~ U\[0, 1) is one draw
+    from [rng] — jitter that spreads a herd of retriers while a seeded
+    generator keeps each schedule reproducible. *)
+
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct indices from
     [0, n).  @raise Invalid_argument if [k > n] or [k < 0]. *)

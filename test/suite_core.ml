@@ -46,7 +46,12 @@ let test_context_evaluate_vs_measure () =
   let ctx = (Lazy.force session).Tuner.ctx in
   let truth = Context.evaluate_uniform ctx Ft_flags.Cv.o3 in
   let noisy =
-    Context.measure_uniform ctx ~rng:(Ft_util.Rng.create 5) Ft_flags.Cv.o3
+    match
+      Context.try_measure_uniform ctx ~rng:(Ft_util.Rng.create 5)
+        Ft_flags.Cv.o3
+    with
+    | Ft_engine.Engine.Ok m -> m.Ft_machine.Exec.elapsed_s
+    | o -> Alcotest.fail (Ft_engine.Engine.outcome_to_string o)
   in
   Alcotest.(check bool) "noise small" true
     (Float.abs (noisy -. truth) /. truth < 0.05);

@@ -19,7 +19,8 @@ let platform = Platform.Broadwell
 let input = Ft_suite.Suite.tuning_input platform program
 
 let make_session ?(pool_size = 40) ?(seed = 4242) jobs =
-  Tuner.make_session ~pool_size ~jobs ~platform ~program ~input ~seed ()
+  Tuner.make_session ~pool_size ~engine:(Engine.create ~jobs ()) ~platform
+    ~program ~input ~seed ()
 
 (* --- Pool ----------------------------------------------------------------- *)
 

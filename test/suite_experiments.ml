@@ -168,6 +168,53 @@ let test_fig7_row_width () =
     (fun v -> Alcotest.(check bool) "positive speedup" true (v > 0.0))
     row
 
+(* --- Faults: the sweep runs on the engines its caller builds ------------- *)
+
+let test_faults_on_callers_engines () =
+  let module Engine = Ft_engine.Engine in
+  let module Cache = Ft_engine.Cache in
+  let fault_seed = 3 in
+  let engine_with ~cache faults =
+    Engine.create ~cache
+      ~policy:{ Engine.default_policy with Engine.faults }
+      ()
+  in
+  let sweep engine =
+    Ft_experiments.Faults.run ~engine ~fault_seed ~seed:4 ~pool_size:30 ()
+  in
+  let shared = Cache.create () and models = ref [] in
+  let on_shared =
+    sweep (fun faults ->
+        models := faults :: !models;
+        engine_with ~cache:shared faults)
+  in
+  let fresh = ref [] in
+  let on_fresh =
+    sweep (fun faults ->
+        let cache = Cache.create () in
+        fresh := cache :: !fresh;
+        engine_with ~cache faults)
+  in
+  Alcotest.(check bool) "one call per rate, fault_seed's model at its rate"
+    true
+    (List.rev !models
+    = List.map
+        (fun rate ->
+          if rate = 0.0 then None
+          else Some (Ft_fault.Fault.make ~seed:fault_seed ~rate ()))
+        Ft_experiments.Faults.rates);
+  Alcotest.(check (list (pair string (list (float 0.0)))))
+    "rows = a sweep on fresh caches" on_fresh.Series.rows on_shared.Series.rows;
+  let fresh_entries =
+    List.fold_left (fun n c -> n + Cache.length c) 0 !fresh
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "shared cache holds fewer entries (%d) than the fresh \
+                     ones together (%d)"
+       (Cache.length shared) fresh_entries)
+    true
+    (Cache.length shared < fresh_entries)
+
 let suite =
   ( "experiments",
     [
@@ -179,6 +226,8 @@ let suite =
       Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
       Alcotest.test_case "lab caching" `Quick test_lab_caching;
       Alcotest.test_case "lab O3 evaluation" `Quick test_lab_o3_evaluation;
+      Alcotest.test_case "faults sweep runs on the caller's engines" `Quick
+        test_faults_on_callers_engines;
       Alcotest.test_case "paper shape invariants (all benchmarks)" `Slow
         test_report_shape_invariants;
       Alcotest.test_case "fig5 panel structure" `Slow test_fig5_panel_structure;
